@@ -81,6 +81,14 @@ HOLDS_NONSTRICT = "HOLDS_NONSTRICT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE_UPPER_BOUND = "INCONCLUSIVE_UPPER_BOUND"
 
+# Row outcomes of a sweep that are not verdicts on the block.
+# INTERNAL_MISMATCH is an ArithmeticError: the two count paths disagree or a
+# provably exact division left a remainder, a fault in the program. ERROR is
+# any other exception, normally a ValueError for parameters that do not
+# combine.
+ERROR = "ERROR"
+INTERNAL_MISMATCH = "INTERNAL_MISMATCH"
+
 VERDICTS = (
     HOLDS_STRICT,
     HOLDS_EQUALITY_ABELIAN,
@@ -102,6 +110,8 @@ __all__ = [
     "HOLDS_NONSTRICT",
     "VIOLATION",
     "INCONCLUSIVE_UPPER_BOUND",
+    "ERROR",
+    "INTERNAL_MISMATCH",
     "EllProfile",
     "BlockQuery",
     "BlockInvariants",
@@ -630,6 +640,9 @@ class CensusReport:
     def has_violation(self) -> bool:
         return any(row.get("verdict") == VIOLATION for row in self.rows)
 
+    def has_internal_mismatch(self) -> bool:
+        return any(row.get("verdict") == INTERNAL_MISMATCH for row in self.rows)
+
     def to_csv(self) -> str:
         lines = [f"# {key}: {self.metadata[key]}" for key in self.metadata]
         lines.append(",".join(REPORT_COLUMNS))
@@ -691,8 +704,11 @@ def _evaluate_row(
             query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
             row.update(g=profile.a, m=1)
         inv = block_invariants(query, cache, check_two_path)
+    except ArithmeticError as exc:
+        row.update(verdict=INTERNAL_MISMATCH)
+        return row, f"{family} row {param}: internal mismatch: {exc}"
     except Exception as exc:
-        row.update(verdict="ERROR")
+        row.update(verdict=ERROR)
         return row, f"{family} row {param}: {exc}"
     row.update(
         k_B=inv.k_B,

@@ -8,7 +8,8 @@ Subcommands:
   bounds             numeric property sweeps for the auxiliary inequalities
 
 Exit codes: 0 all checks pass, 1 usage or parameter error, 2 a verification
-check failed (a VIOLATION row, a mismatched table, a failed bound).
+check failed (a VIOLATION or INTERNAL_MISMATCH row, a mismatched table, a
+failed bound).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _cmd_census(args) -> int:
         sys.stdout.write(text)
     for message in report.errors:
         print(f"error: {message}", file=sys.stderr)
-    return 2 if report.has_violation() else 0
+    return 2 if report.has_violation() or report.has_internal_mismatch() else 0
 
 
 # ---------------------------------------------------------------------------

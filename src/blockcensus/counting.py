@@ -10,6 +10,7 @@ upstream, not a rounding concern.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 __all__ = [
@@ -62,9 +63,16 @@ def _require_odd_prime(ell: int) -> None:
 class CountCache:
     """Memo tables shared by the counting functions.
 
-    Tables only grow, and a fresh cache recomputes identical values, so a
-    single instance may be shared between worker threads (a lock serialises
-    extensions) or replicated per worker without changing any result.
+    Tables: the partition numbers, the divisor sums sigma(n), one row
+    k(s, 0..) per colour count s, one p_ell table per prime, and one tail
+    series c_t(0..) per (ell, t) for composition_sum. Every table is a list
+    that only grows by appending, and a fresh cache recomputes identical
+    values, so a longer table never changes an entry already read.
+
+    A single instance may be shared between worker threads. Reads of an
+    entry a table already holds take no lock; the lock is taken only to
+    extend a table, once per extension, and the length is checked again
+    under it.
     """
 
     def __init__(self) -> None:
@@ -73,13 +81,16 @@ class CountCache:
         self._sigma: list[int] = [0]  # divisor sums, index 0 unused
         self._tuples: dict[int, list[int]] = {}
         self._ppower: dict[int, list[int]] = {}
+        self._tails: dict[tuple[int, int], list[int]] = {}
 
     def partition_count(self, t: int) -> int:
         """Number of partitions of t, by the pentagonal-number recurrence."""
         if t < 0:
             raise ValueError("partition size must be >= 0")
+        parts = self._partitions
+        if t < len(parts):
+            return parts[t]
         with self._lock:
-            parts = self._partitions
             for n in range(len(parts), t + 1):
                 acc = 0
                 k = 1
@@ -96,21 +107,36 @@ class CountCache:
                 parts.append(acc)
             return parts[t]
 
-    def divisor_sum(self, n: int) -> int:
+    def _extend_sigma(self, n: int) -> None:
+        # caller holds the lock
+        sig = self._sigma
+        for m in range(len(sig), n + 1):
+            total = 0
+            i = 1
+            while i * i <= m:
+                if m % i == 0:
+                    total += i
+                    j = m // i
+                    if j != i:
+                        total += j
+                i += 1
+            sig.append(total)
+
+    def _tuple_row(self, s: int, t: int) -> list[int]:
+        """The row k(s, 0..), holding at least t + 1 entries; s >= 0."""
+        row = self._tuples.get(s)
+        if row is not None and t < len(row):
+            return row
         with self._lock:
+            row = self._tuples.setdefault(s, [1])
+            self._extend_sigma(t)
             sig = self._sigma
-            for m in range(len(sig), n + 1):
-                total = 0
-                i = 1
-                while i * i <= m:
-                    if m % i == 0:
-                        total += i
-                        j = m // i
-                        if j != i:
-                            total += j
-                    i += 1
-                sig.append(total)
-            return sig[n]
+            for n in range(len(row), t + 1):
+                # row holds k(s, 0..n-1), so reversed(row) pairs sigma(j)
+                # with k(s, n - j)
+                acc = sum(map(operator.mul, sig[1 : n + 1], reversed(row)))
+                row.append(exact_div(s * acc, n))
+            return row
 
     def multipartition_count(self, s: int, t: int) -> int:
         """Number of s-tuples of partitions whose sizes sum to t.
@@ -125,14 +151,23 @@ class CountCache:
             raise ValueError("colour count and size must be >= 0")
         if s == 0:
             return 1 if t == 0 else 0
+        return self._tuple_row(s, t)[t]
+
+    def _tail_series(self, ell: int, t: int, n: int) -> list[int]:
+        """The series c_t(0..) of composition_sum, holding at least n + 1
+        entries: c_t(0) = 1 and c_t(m) = sum_{j <= m/ell} k(t, m - ell j) c_t(j)."""
+        key = (ell, t)
+        series = self._tails.get(key)
+        if series is not None and n < len(series):
+            return series
         with self._lock:
-            row = self._tuples.setdefault(s, [1])
-            for n in range(len(row), t + 1):
-                acc = 0
-                for j in range(1, n + 1):
-                    acc += self.divisor_sum(j) * row[n - j]
-                row.append(exact_div(s * acc, n))
-            return row[t]
+            series = self._tails.setdefault(key, [1])
+            row = self._tuple_row(t, n)
+            for m in range(len(series), n + 1):
+                # row[m::-ell] is k(t, m), k(t, m - ell), ...; it is shorter
+                # than series, which holds c_t(0..m-1)
+                series.append(sum(map(operator.mul, row[m::-ell], series)))
+            return series
 
     def p_ell(self, ell: int, w: int) -> int:
         """Number of ways to write w as an ordered sum of ell-power levels.
@@ -145,6 +180,9 @@ class CountCache:
         _require_prime(ell)
         if w < 0:
             raise ValueError("weight must be >= 0")
+        tab = self._ppower.get(ell)
+        if tab is not None and w < len(tab):
+            return tab[w]
         with self._lock:
             tab = self._ppower.setdefault(ell, [1])
             for n in range(len(tab), w + 1):
@@ -213,16 +251,28 @@ def composition_sum(
 
     This is the common shape of every closed-form block count in this
     package; only the two colour counts vary by family.
+
+    The compositions are not enumerated. Grouping them by
+    v = w1 + ell*w2 + ell**2*w3 + ... leaves a tail (w1, w2, ...) that is
+    itself an ell-composition of v, so with h, t the two colour counts
+
+        composition_sum(ell, h, t, w) = sum_{v=0}^{w // ell} k(h, w - ell v) c_t(v),
+        c_t(n) = sum_{0 <= j <= n/ell} k(t, n - ell j) c_t(j),  c_t(0) = 1.
+
+    c_t(n) is the coefficient of x**n in prod_{i>=0} K_t(x**(ell**i)) with
+    K_t(x) = sum_n k(t, n) x**n. It does not depend on w, so the cache keeps
+    it as a grow-only table per (ell, t).
     """
+    _require_prime(ell)
+    if w < 0:
+        raise ValueError("weight must be >= 0")
+    if head_colours < 0 or tail_colours < 0:
+        raise ValueError("colour counts must be >= 0")
     cache = cache or shared_cache
-    total = 0
-    for comp in ell_compositions(ell, w):
-        head = comp[0] if comp else 0
-        term = cache.multipartition_count(head_colours, head)
-        for wi in comp[1:]:
-            term *= cache.multipartition_count(tail_colours, wi)
-        total += term
-    return total
+    head = cache._tuple_row(head_colours, w)
+    tails = cache._tail_series(ell, tail_colours, w // ell)
+    # head[w::-ell] is k(h, w), k(h, w - ell), ...: w // ell + 1 terms
+    return sum(map(operator.mul, head[w::-ell], tails))
 
 
 def k_ell_a_w(ell: int, a: int, w: int, cache: CountCache | None = None) -> int:

@@ -168,6 +168,29 @@ def test_census_violation_row_exit_code(monkeypatch, capsys):
     assert "VIOLATION" in out
 
 
+def test_census_two_path_mismatch_exit_code(monkeypatch, capsys):
+    # a slot path that is off by one must fail the run, not pass as an
+    # ordinary parameter ERROR row
+    from blockcensus import slots
+
+    real = slots.block_count_proof_path
+
+    def off_by_one(*args, **kwargs):
+        return real(*args, **kwargs) + 1
+
+    monkeypatch.setattr(slots, "block_count_proof_path", off_by_one)
+    code, out, err = run_cli(
+        capsys, "census", "--family", "GL", "--ell", "3", "--d", "1",
+        "--w", "0..2", "--strip-timestamp",
+    )
+    assert code == 2
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    column = blocks.REPORT_COLUMNS.index("verdict")
+    verdicts = [line.split(",")[column] for line in lines[1:]]
+    assert verdicts == [blocks.INTERNAL_MISMATCH] * 3
+    assert "two-path mismatch" in err
+
+
 def test_census_config_file(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -1,3 +1,7 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +177,81 @@ def _tail_product(comp):
     for c in comp[1:]:
         prod *= multipartition_count(2, c)
     return prod
+
+
+def _composition_walk(ell, head_colours, tail_colours, w):
+    # the defining sum, one term per ell-composition of w
+    total = 0
+    for comp in ell_compositions(ell, w):
+        term = multipartition_count(head_colours, comp[0] if comp else 0)
+        for wi in comp[1:]:
+            term *= multipartition_count(tail_colours, wi)
+        total += term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 7, 11]),
+    head=st.integers(0, 12),
+    tail=st.integers(0, 12),
+    w=st.integers(0, 80),
+)
+def test_composition_sum_is_the_composition_walk(ell, head, tail, w):
+    expected = _composition_walk(ell, head, tail, w)
+    assert composition_sum(ell, head, tail, w, CountCache()) == expected
+    assert composition_sum(ell, head, tail, w) == expected
+
+
+def test_composition_sum_is_prefix_stable():
+    # the tail series and rows only grow; a later, shorter request must read
+    # the same values a fresh cache computes
+    grown = CountCache()
+    for ell, head, tail in ((3, 3, 2), (5, 7, 4), (2, 1, 1)):
+        for w in (300, 7, 150):
+            fresh = composition_sum(ell, head, tail, w, CountCache())
+            assert composition_sum(ell, head, tail, w, grown) == fresh
+    assert composition_sum(3, 3, 2, 7, grown) == _composition_walk(3, 3, 2, 7)
+
+
+def test_shared_cache_concurrent_growth():
+    # finished entries are read without the lock and tables are extended
+    # under it: threads growing one cache in different orders must read
+    # what one serial cache computes, not a half-extended table
+    queries = [
+        (ell, head, tail, w)
+        for ell in (2, 3)
+        for head, tail in ((3, 2), (2, 1))
+        for w in range(0, 400, 9)
+    ]
+    serial = CountCache()
+    expected = {q: composition_sum(*q, serial) for q in queries}
+
+    def run(order):
+        return [(q, composition_sum(*q, shared)) for q in order]
+
+    shared = CountCache()
+    orders = [random.Random(seed).sample(queries, len(queries)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(run, order) for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for q, value in result:
+            assert value == expected[q], q
+
+
+def test_composition_sum_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        composition_sum(9, 3, 2, 4)
+    with pytest.raises(ValueError):
+        composition_sum(3, 3, 2, -1)
+    with pytest.raises(ValueError):
+        composition_sum(3, -1, 2, 4)
 
 
 K_ELL_VALUES = {

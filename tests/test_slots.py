@@ -242,6 +242,25 @@ def test_two_path_equality_spot_grid():
                         assert closed == proof, (family, ell, d, a, w, closed, proof)
 
 
+@pytest.mark.parametrize(
+    "family, ell, a, w",
+    [
+        ("GL", 3, 1, 150),
+        ("GL", 3, 1, 300),
+        ("Sp", 3, 1, 150),
+        ("Sp", 3, 1, 300),
+        ("GL", 5, 2, 100),
+    ],
+)
+def test_two_path_equality_large_weight(family, ell, a, w):
+    from blockcensus import blocks
+
+    query = blocks.BlockQuery(family, blocks.EllProfile(ell, 1, a), w=w)
+    closed = blocks.k_unipotent_block(query)
+    proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], ell, 1, a, w)
+    assert closed == proof
+
+
 def test_shared_cache_survives_warm():
     shared_cache.warm([2, 4], 10)
     assert multipartition_count(4, 10) == shared_cache.multipartition_count(4, 10)
