@@ -498,7 +498,10 @@ def block_invariants(
 
 
 def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """The divisors of n >= 1 in ascending order, by trial division up to
+    the square root of n."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
 @dataclass(frozen=True)
@@ -721,24 +724,6 @@ def _evaluate_row(
     return row, None
 
 
-def _warm_cache(params: list[dict], cache: CountCache) -> None:
-    budgets = [p.get("w") or 0 for p in params] + [p.get("n") or 0 for p in params]
-    if not budgets:
-        return
-    top = max(budgets)
-    colours = set()
-    for p in params:
-        ell, d, a = p.get("ell"), p.get("d"), p.get("a")
-        if not (ell and d and a) or ell == 2 or (ell - 1) % d:
-            continue
-        denom = d if p["family"] in (GL, GU) else 2 * (d // math.gcd(d, 2))
-        if (ell - 1) % denom:
-            continue
-        colours.add(denom + (ell**a - 1) // denom)
-        colours.add((ell**a - ell ** (a - 1)) // denom)
-    cache.warm(sorted(colours), top)
-
-
 def sweep(
     spec: SweepSpec,
     jobs: int = 1,
@@ -752,7 +737,6 @@ def sweep(
     the locked memo cache, so parallel runs return byte-identical reports."""
     cache = cache or shared_cache
     params = spec.row_params()
-    _warm_cache(params, cache)
     if jobs > 1 and len(params) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(

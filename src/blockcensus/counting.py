@@ -65,9 +65,12 @@ class CountCache:
 
     Tables: the partition numbers, the divisor sums sigma(n), one row
     k(s, 0..) per colour count s, one p_ell table per prime, and one tail
-    series c_t(0..) per (ell, t) for composition_sum. Every table is a list
-    that only grows by appending, and a fresh cache recomputes identical
-    values, so a longer table never changes an entry already read.
+    series c_t(0..) per (ell, t) for composition_sum. The slot path owns
+    one more: the folded slot series per (ell, a, denom) of
+    slots._twisted_series, which nothing in the closed-form path reads.
+    Every table only grows, and a fresh cache recomputes identical values,
+    so a longer table never changes an entry already read. The slot series
+    grows by replacement with a longer list, the others by appending.
 
     A single instance may be shared between worker threads. Reads of an
     entry a table already holds take no lock; the lock is taken only to
@@ -82,6 +85,7 @@ class CountCache:
         self._tuples: dict[int, list[int]] = {}
         self._ppower: dict[int, list[int]] = {}
         self._tails: dict[tuple[int, int], list[int]] = {}
+        self._slots: dict[tuple[int, int, int], list[int]] = {}
 
     def partition_count(self, t: int) -> int:
         """Number of partitions of t, by the pentagonal-number recurrence."""
@@ -167,6 +171,23 @@ class CountCache:
                 # row[m::-ell] is k(t, m), k(t, m - ell), ...; it is shorter
                 # than series, which holds c_t(0..m-1)
                 series.append(sum(map(operator.mul, row[m::-ell], series)))
+            return series
+
+    def _slot_series(self, key: tuple[int, int, int], n: int, build) -> list[int]:
+        """The slot path's series for key, holding at least n + 1 entries.
+
+        build(budget) returns the series truncated at budget. A missing or
+        shorter entry is replaced, under the lock, by build(max(n, 2 * len)),
+        so a sweep of ascending n rebuilds it O(log n) times; an entry is
+        never changed after it is stored."""
+        series = self._slots.get(key)
+        if series is not None and n < len(series):
+            return series
+        with self._lock:
+            series = self._slots.get(key)
+            if series is None or n >= len(series):
+                series = build(max(n, 2 * len(series)) if series else n)
+                self._slots[key] = series
             return series
 
     def p_ell(self, ell: int, w: int) -> int:

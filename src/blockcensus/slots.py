@@ -10,11 +10,23 @@ factor one unit of multiplicity produces. Distributing a weight budget over
 the slots then reproduces, purely combinatorially, both the class counts
 and the character counts that the closed block formulas predict, which
 makes this module the independent second route used for cross-checking.
+
+The counting routines never enumerate weight vectors. A class of c slots at
+unit weight u contributes the factor P(x**u)**c, with P the partition
+generating function, so the non-principal slots together contribute the
+product of these factors over the slot classes. Each power is taken by
+repeated squaring of the truncated partition series and folded in at its
+stride u. The route is independent of the closed formulas in the blocks
+module: for the slots it uses only partition numbers and truncated
+convolutions, never the divisor-sum (sigma) recurrence of the
+coloured-partition rows nor the composition tail series. The one
+coloured-partition row it reads is the principal factor's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .counting import CountCache, exact_div, is_prime, shared_cache
@@ -252,31 +264,49 @@ def unipotent_block_count(
     return total
 
 
-def _convolve(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(cap - i + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
+    """Product of two series truncated at degree m; both hold at least
+    m + 1 entries, so b[n::-1] is b[n], ..., b[0]."""
+    return [sum(map(operator.mul, a, b[n::-1])) for n in range(m + 1)]
+
+
+def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
+    """P(x)**c truncated at degree m, for c >= 1, by repeated squaring,
+    where P(x) = sum_v p(v) x**v is the partition generating function."""
+    base = [cache.partition_count(v) for v in range(m + 1)]
+    power = None
+    while True:
+        if c & 1:
+            power = base if power is None else _mul_trunc(power, base, m)
+        c >>= 1
+        if not c:
+            return power
+        base = _mul_trunc(base, base, m)
+
+
+def _fold_slot_classes(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
+    series = [1] + [0] * budget
+    for cls in inv.slot_classes(budget):
+        u = cls.unit_weight
+        power = _partition_power(cls.slot_count, budget // u, cache)
+        # series[n::-u] is the old series at n, n - u, ...: n // u + 1 terms
+        series = [sum(map(operator.mul, series[n::-u], power)) for n in range(budget + 1)]
+    return series
 
 
 def _twisted_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    """Coefficient v = number-weighted count of ways to place weight v on
-    the non-principal slots, each slot folded in as a literal partition
-    series convolution (one convolution per slot, deliberately avoiding the
-    multi-colour counting recurrence)."""
-    series = [1] + [0] * budget
-    for cls in inv.slot_classes(budget):
-        single = [0] * (budget + 1)
-        for v in range(budget // cls.unit_weight + 1):
-            single[v * cls.unit_weight] = cache.partition_count(v)
-        for _ in range(cls.slot_count):
-            series = _convolve(series, single, budget)
-    return series
+    """Coefficients 0..budget (at least) of the number-weighted count of
+    ways to place weight v on the non-principal slots: the product over
+    the slot classes of P(x**u)**c, for c slots at unit weight u.
+
+    The product depends only on (ell, a, denom), and truncating it at a
+    larger budget extends it without changing a coefficient, so the cache
+    keeps one grow-only series per key and a request reads its prefix."""
+    return cache._slot_series(
+        (inv.ell, inv.a, inv.denom),
+        budget,
+        lambda top: _fold_slot_classes(inv, top, cache),
+    )
 
 
 def block_count_proof_path(
@@ -286,9 +316,12 @@ def block_count_proof_path(
     summing centraliser contributions over all weight vectors.
 
     Equivalent to enumerating enumerate_weight_vectors and adding up
-    unipotent_block_count, but organized as a convolution sweep so large
-    budgets stay cheap. Serves as the independent check against the closed
-    formulas in the blocks module.
+    unipotent_block_count, but organized as one convolution of the
+    principal factor's coloured-partition row with the slot series of
+    _twisted_series, so large budgets stay cheap. The slot series is built
+    from partition numbers by truncated products alone, without the
+    divisor-sum recurrence or the composition tail series of the closed
+    formulas, which keeps this an independent check against them.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")

@@ -24,7 +24,7 @@ from blockcensus.blocks import (
     valuation,
     verdict,
 )
-from blockcensus.counting import d_core_count, k_ell_a_w, val_factorial
+from blockcensus.counting import CountCache, d_core_count, k_ell_a_w, val_factorial
 
 
 def test_valuation():
@@ -353,6 +353,23 @@ def test_sweep_jobs_deterministic():
     parallel = sweep(spec, jobs=4)
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json() == parallel.to_json()
+
+
+def test_divisors():
+    for n in range(1, 501):
+        assert blocks._divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+    assert len(blocks._divisors(10000000018)) == 16
+
+
+def test_block_invariants_at_a_large_prime():
+    # ell - 1 slots at unit weight: the slot path raises the partition
+    # series to that power by squaring, not by one fold per slot
+    ell = 10000000019
+    query = BlockQuery(blocks.GL, EllProfile(ell, 1, 1), w=2)
+    inv = block_invariants(query, CountCache())
+    assert inv.two_path_checked
+    # the ell-multipartitions of 2
+    assert inv.k_B == ell * (ell + 3) // 2
 
 
 def test_report_formats():

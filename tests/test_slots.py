@@ -1,9 +1,15 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from datetime import timedelta
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcensus import slots
+from blockcensus import blocks, slots
 from blockcensus.counting import (
+    CountCache,
     multipartition_count,
     partition_count,
     shared_cache,
@@ -258,6 +264,125 @@ def test_two_path_equality_large_weight(family, ell, a, w):
     query = blocks.BlockQuery(family, blocks.EllProfile(ell, 1, a), w=w)
     closed = blocks.k_unipotent_block(query)
     proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], ell, 1, a, w)
+    assert closed == proof
+
+
+def _convolve(a, b, cap):
+    out = [0] * (cap + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(cap - i + 1):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _reference_twisted_series(inv, budget):
+    # the literal slot fold: one truncated convolution per slot
+    series = [1] + [0] * budget
+    for cls in inv.slot_classes(budget):
+        single = [0] * (budget + 1)
+        for v in range(budget // cls.unit_weight + 1):
+            single[v * cls.unit_weight] = partition_count(v)
+        for _ in range(cls.slot_count):
+            series = _convolve(series, single, budget)
+    return series
+
+
+def _reference_block_count(inv, w):
+    twisted = _reference_twisted_series(inv, w)
+    return sum(
+        multipartition_count(inv.weyl_base, u) * twisted[w - u] for u in range(w + 1)
+    )
+
+
+@st.composite
+def _slot_profiles(draw):
+    ell = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([d for d in range(1, ell) if (ell - 1) % d == 0]))
+    return ell, d, draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(slots.INVENTORY_FAMILIES),
+    profile=_slot_profiles(),
+    w=st.integers(0, 40),
+)
+def test_twisted_series_is_the_slot_fold(family, profile, w):
+    ell, d, a = profile
+    inv = slots.build_inventory(family, ell, d, a)
+    expected = _reference_twisted_series(inv, w)
+    assert slots._twisted_series(inv, w, CountCache())[: w + 1] == expected
+    count = _reference_block_count(inv, w)
+    assert slots.block_count_proof_path(family, ell, d, a, w, CountCache()) == count
+    assert slots.block_count_proof_path(family, ell, d, a, w) == count
+
+
+def test_slot_series_is_prefix_stable():
+    # the slot series only grows; a later request, shorter or longer, must
+    # read what a fresh cache computes, for either function on one cache
+    grown = CountCache()
+    for family in (slots.LINEAR, slots.SYMPLECTIC):
+        for w in (0, 1, 2, 300, 7, 150, 601):
+            fresh = slots.block_count_proof_path(family, 3, 1, 1, w, CountCache())
+            assert slots.block_count_proof_path(family, 3, 1, 1, w, grown) == fresh
+    for n in (300, 7, 150, 601):
+        fresh = slots.eL_series_total(slots.LINEAR, n, 1, 1, 3, CountCache())
+        assert slots.eL_series_total(slots.LINEAR, n, 1, 1, 3, grown) == fresh
+    inv = slots.build_inventory(slots.SYMPLECTIC, 3, 1, 1)
+    assert slots.block_count_proof_path(
+        slots.SYMPLECTIC, 3, 1, 1, 7, grown
+    ) == _reference_block_count(inv, 7)
+
+
+def test_slot_series_concurrent_growth():
+    # entries are read without the lock and rebuilt under it: threads
+    # growing one cache in different orders must read what one serial
+    # cache computes
+    queries = [
+        (family, ell, d, a, w)
+        for family in (slots.LINEAR, slots.SYMPLECTIC)
+        for ell in (3, 5)
+        for d in (1, 2)
+        for a in (1, 2)
+        for w in range(0, 120, 7)
+    ]
+    serial = CountCache()
+    expected = {q: slots.block_count_proof_path(*q, serial) for q in queries}
+
+    def run(order):
+        return [(q, slots.block_count_proof_path(*q, shared)) for q in order]
+
+    shared = CountCache()
+    orders = [random.Random(seed).sample(queries, len(queries)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(run, order) for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for q, value in result:
+            assert value == expected[q], q
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=2))
+@given(
+    family=st.sampled_from(["GL", "Sp", "GOevenPlus"]),
+    d=st.integers(1, 2),
+    a=st.integers(1, 2),
+    w=st.integers(0, 300),
+)
+def test_two_path_equality_large_weight_property(family, d, a, w):
+    cache = CountCache()
+    query = blocks.BlockQuery(family, blocks.EllProfile(3, d, a), w=w)
+    closed = blocks.k_unipotent_block(query, cache)
+    proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], 3, d, a, w, cache)
     assert closed == proof
 
 
