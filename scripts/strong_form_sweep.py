@@ -8,7 +8,7 @@ which would be news).
 Usage:
   python scripts/strong_form_sweep.py
   python scripts/strong_form_sweep.py --ell 3,5 --wmax 12 --format json
-  python scripts/strong_form_sweep.py --out sweep.csv --jobs 4
+  python scripts/strong_form_sweep.py --out sweep.csv
 """
 
 from __future__ import annotations

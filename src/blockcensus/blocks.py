@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import slots
@@ -115,7 +114,6 @@ __all__ = [
     "EllProfile",
     "BlockQuery",
     "BlockInvariants",
-    "multiplicative_order",
     "valuation",
     "ell_profile",
     "ennola_profile",
@@ -133,17 +131,6 @@ __all__ = [
     "REPORT_COLUMNS",
     "sweep",
 ]
-
-
-def multiplicative_order(x: int, modulus: int) -> int:
-    if modulus < 2 or math.gcd(x, modulus) != 1:
-        raise ValueError(f"{x} is not invertible modulo {modulus}")
-    order = 1
-    acc = x % modulus
-    while acc != 1:
-        acc = acc * x % modulus
-        order += 1
-    return order
 
 
 def valuation(ell: int, n: int) -> int:
@@ -189,6 +176,18 @@ class EllProfile:
         return self.d // math.gcd(self.d, 2)
 
 
+def _profile(x: int, ell: int, q: int, d: int | None = None) -> EllProfile:
+    """Profile of ell relative to x = q or -q (ell odd unless d is given,
+    ell not dividing x, x not 1 or -1): d is the order of x mod ell and a
+    the valuation of x**d - 1, both from modular powers, never forming x**d."""
+    if d is None:
+        d = next(t for t in _divisors(ell - 1) if pow(x, t, ell) == 1)
+    a = 1
+    while pow(x, d, ell ** (a + 1)) == 1:
+        a += 1
+    return EllProfile(ell, d, a, q)
+
+
 def ell_profile(q: int, ell: int) -> EllProfile:
     """Profile of ell relative to q: multiplicative order of q mod ell for
     odd ell (mod 4 for ell = 2, where the block formulas then refuse to
@@ -200,11 +199,8 @@ def ell_profile(q: int, ell: int) -> EllProfile:
     if q % ell == 0:
         raise ValueError(f"ell={ell} divides q={q}; profile undefined")
     if ell == 2:
-        d = 1 if q % 4 == 1 else 2
-    else:
-        d = multiplicative_order(q, ell)
-    a = valuation(ell, q**d - 1)
-    return EllProfile(ell, d, a, q)
+        return _profile(q, ell, q, 1 if q % 4 == 1 else 2)
+    return _profile(q, ell, q)
 
 
 def ennola_profile(q: int, ell: int) -> EllProfile:
@@ -214,9 +210,9 @@ def ennola_profile(q: int, ell: int) -> EllProfile:
         raise ValueError("ennola profiles are defined for odd primes only")
     if q % ell == 0:
         raise ValueError(f"ell={ell} divides q={q}; profile undefined")
-    e = multiplicative_order(-q % ell, ell)
-    a = valuation(ell, abs((-q) ** e - 1))
-    return EllProfile(ell, e, a, q)
+    if abs(q) < 2:
+        raise ValueError(f"q={q} has no profile: (-q)**e - 1 vanishes")
+    return _profile(-q, ell, q)
 
 
 @dataclass(frozen=True)
@@ -268,10 +264,9 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
     block of the given family.
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
-    (ell**a - ell**(a-1))/denom, where denom is the order parameter d for
-    the (general) linear and unitary families and 2d' for the symplectic
-    and orthogonal ones. The result is exact except for the even special
-    orthogonal groups, where it is only an upper bound (see exactness_for).
+    (ell**a - ell**(a-1))/denom, with denom from slots.slot_denominator.
+    The result is exact except for the even special orthogonal groups,
+    where it is only an upper bound (see exactness_for).
     """
     if query.family not in WEIGHT_FAMILIES:
         raise ValueError(f"family {query.family!r} is not weight-addressed")
@@ -280,9 +275,7 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
     profile = query.profile
     _require_odd(profile)
     ell, a = profile.ell, profile.a
-    denom = profile.d if query.family in (GL, GU) else 2 * profile.dprime
-    if (ell - 1) % denom:
-        raise ValueError(f"slot denominator {denom} does not divide ell-1={ell - 1}")
+    denom = slots.slot_denominator(WEIGHT_FAMILIES[query.family], profile.d)
     head = denom + exact_div(ell**a - 1, denom)
     tail = exact_div(ell**a - ell ** (a - 1), denom)
     return composition_sum(ell, head, tail, query.w, cache)
@@ -731,19 +724,14 @@ def sweep(
     check_two_path: bool = True,
     timestamp: str | None = None,
 ) -> CensusReport:
-    """Evaluate every row of the sweep and assemble the report.
+    """Evaluate every row of the sweep, in SweepSpec.row_params order, and
+    assemble the report.
 
-    Row order follows SweepSpec.row_params regardless of jobs; workers share
-    the locked memo cache, so parallel runs return byte-identical reports."""
+    jobs is accepted for compatibility and ignored: rows run serially. The
+    row work is pure-Python integer arithmetic that holds the GIL, so a
+    thread pool only added switching and measured slower than one thread."""
     cache = cache or shared_cache
-    params = spec.row_params()
-    if jobs > 1 and len(params) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda p: _evaluate_row(p, cache, check_two_path), params)
-            )
-    else:
-        results = [_evaluate_row(p, cache, check_two_path) for p in params]
+    results = [_evaluate_row(p, cache, check_two_path) for p in spec.row_params()]
     rows = [row for row, _ in results]
     errors = [msg for _, msg in results if msg]
     metadata = {

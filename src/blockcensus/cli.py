@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     census.add_argument("--config", metavar="PATH")
     census.add_argument("--format", choices=("csv", "json", "md"), default=None)
     census.add_argument("--out", metavar="PATH")
-    census.add_argument("--jobs", type=int, default=None)
+    census.add_argument("--jobs", type=int, default=None, help="ignored; rows run serially")
     census.add_argument("--strip-timestamp", action="store_true")
     census.add_argument(
         "--no-two-path",

@@ -9,6 +9,7 @@ upstream, not a rounding concern.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -38,7 +39,10 @@ def exact_div(num: int, den: int) -> int:
     return quot
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Primality by trial division, memoised: a sweep asks about the same
+    few primes once per row and layer."""
     if n < 2:
         return False
     i = 2

@@ -47,6 +47,7 @@ __all__ = [
     "SlotClass",
     "SlotInventory",
     "WeightVector",
+    "slot_denominator",
     "CentralizerShape",
     "build_inventory",
     "enumerate_weight_vectors",
@@ -142,6 +143,15 @@ class SlotInventory:
         return self.base_slots() + self.deep_slots(budget)
 
 
+def slot_denominator(family: str, d: int) -> int:
+    """Divisor of the slot counts: d for the linear and unitary families,
+    2d' with d' = d / gcd(d, 2) otherwise. It divides ell - 1 for odd ell
+    whenever d does."""
+    if family not in INVENTORY_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return d if family in (LINEAR, UNITARY) else 2 * (d // math.gcd(d, 2))
+
+
 def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
     """Construct the slot inventory for one family and ell-adic profile.
 
@@ -149,8 +159,7 @@ def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
     should already be the twisted one). Requires odd prime ell, a >= 1 and
     d | ell - 1 so that every slot-count division is exact.
     """
-    if family not in INVENTORY_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    denom = slot_denominator(family, d)  # rejects an unknown family
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if ell == 2:
@@ -160,9 +169,6 @@ def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
     if d < 1 or (ell - 1) % d:
         raise ValueError(f"order parameter d={d} must divide ell-1={ell - 1}")
     dprime = d // math.gcd(d, 2)
-    denom = d if family in (LINEAR, UNITARY) else 2 * dprime
-    if (ell - 1) % denom:
-        raise ValueError(f"slot denominator {denom} does not divide ell-1={ell - 1}")
     return SlotInventory(family, ell, d, dprime, a, denom, weyl_base=denom)
 
 

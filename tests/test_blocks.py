@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,13 @@ from blockcensus.blocks import (
     valuation,
     verdict,
 )
-from blockcensus.counting import CountCache, d_core_count, k_ell_a_w, val_factorial
+from blockcensus.counting import (
+    CountCache,
+    d_core_count,
+    is_prime,
+    k_ell_a_w,
+    val_factorial,
+)
 
 
 def test_valuation():
@@ -68,6 +75,43 @@ def test_ennola_profile():
     assert (ennola_profile(4, 3).d, ennola_profile(4, 3).a) == (2, 1)
     with pytest.raises(ValueError):
         ennola_profile(6, 2)
+
+
+def _reference_profile(x, ell, d=None):
+    # the order loop and the plain valuation of x**d - 1
+    if d is None:
+        d, acc = 1, x % ell
+        while acc != 1:
+            acc = acc * x % ell
+            d += 1
+    return d, valuation(ell, x**d - 1)
+
+
+def test_profiles_match_reference():
+    for ell in (p for p in range(2, 62) if is_prime(p)):
+        for q in (q for q in range(2, 65) if q % ell):
+            prof = ell_profile(q, ell)
+            d = (1 if q % 4 == 1 else 2) if ell == 2 else None
+            assert (prof.d, prof.a) == _reference_profile(q, ell, d), (q, ell)
+            if ell > 2:
+                prof = ennola_profile(q, ell)
+                assert (prof.d, prof.a) == _reference_profile(-q, ell), (q, ell)
+
+
+def test_profiles_at_a_large_prime():
+    # the order of 2 modulo this prime is ell - 1; q**d would have ten
+    # billion bits
+    ell = 10000000019
+    prof = ell_profile(2, ell)
+    assert (prof.d, prof.a) == (ell - 1, 1)
+    assert ennola_profile(2, ell).d == (ell - 1) // 2
+
+
+def test_ennola_profile_rejects_unit_q():
+    # (-q)**e - 1 is 0 for q = 1 and q = -1, so no valuation exists
+    for q in (1, -1):
+        with pytest.raises(ValueError):
+            ennola_profile(q, 3)
 
 
 def test_profile_validation():
@@ -353,6 +397,21 @@ def test_sweep_jobs_deterministic():
     parallel = sweep(spec, jobs=4)
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json() == parallel.to_json()
+
+
+def test_sweep_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = SweepSpec(families=(blocks.GL, blocks.SP), ell_values=(3, 5), w_values=(0, 1, 2))
+    assert sweep(spec, jobs=4).to_csv() == sweep(spec, jobs=1).to_csv()
+
+
+def test_sweep_tests_primality_once_per_prime():
+    is_prime.cache_clear()
+    sweep(SweepSpec(families=(blocks.GL, blocks.SP), ell_values=(101,), w_values=(0, 1, 2)))
+    assert is_prime.cache_info().misses == 1
 
 
 def test_divisors():

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,18 @@ def test_census_jobs_deterministic(capsys):
     code, parallel, _ = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
     assert serial == parallel
+
+
+def test_census_profile_mismatch_at_a_large_prime(capsys):
+    # q = 2 has order ell - 1 modulo this prime, so the witnessed profile
+    # disagrees with d = 1; deriving it must not walk the order or form q**d
+    code, out, err = run_cli(
+        capsys, "census", "--family", "GL", "--ell", "10000000019", "--d", "1",
+        "--w", "1", "--q", "2", "--strip-timestamp",
+    )
+    assert code == 0
+    assert out.splitlines()[-1].endswith(",ERROR,")
+    assert "derived (d=10000000018, a=1)" in err
 
 
 def test_census_error_rows_go_to_stderr(capsys):
@@ -352,10 +365,14 @@ def test_bounds_battery(capsys):
 
 
 def test_console_entry_point():
+    # run the package this suite imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "blockcensus.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "blockcensus" in result.stdout

@@ -1,8 +1,11 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcensus import oracle
+from blockcensus import counting, oracle, slots
 from blockcensus.counting import (
     d_core_count,
     gmpn_irr_count,
@@ -283,3 +286,33 @@ def test_gmpn_identity_properties(m, n):
             x = oracle.gmpn_mul(m, x, g)
             steps += 1
             assert steps <= order
+
+
+def test_oracle_answers_never_call_counting_or_slots(monkeypatch):
+    # is_prime is exempt: the oracle uses it only to validate ell
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the machinery it checks")
+
+    for name, obj in vars(counting.CountCache).items():
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            monkeypatch.setattr(counting.CountCache, name, refuse)
+    banned = [
+        getattr(counting, name)
+        for name in ("partition_count", "multipartition_count", "p_ell", "composition_sum")
+    ] + [
+        getattr(slots, name)
+        for name in ("block_count_proof_path", "eL_series_total", "_twisted_series")
+    ]
+    # replace every binding, so a future "from .counting import ..." is caught
+    for modname, module in list(sys.modules.items()):
+        if modname == "blockcensus" or modname.startswith("blockcensus."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in banned):
+                    monkeypatch.setattr(module, attr, refuse)
+
+    assert oracle.multipartition_enumerate(3, 4) == 51
+    assert [oracle.d_core_census(m, 3) for m in range(9)] == [1, 1, 2, 0, 2, 1, 2, 0, 1]
+    assert oracle.gmpn_class_count(4, 1, 2) == 14
+    census = oracle.gl_ell_class_census(2, 4, 3)
+    assert sorted(c.centralizer_order for c in census.classes) == [9, 9, 9, 180, 180, 180]
+    assert census.ell_element_total == 63

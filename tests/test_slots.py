@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blockcensus import blocks, slots
 from blockcensus.counting import (
     CountCache,
+    is_prime,
     multipartition_count,
     partition_count,
     shared_cache,
@@ -33,6 +34,23 @@ def test_build_inventory_rejects_bad_parameters():
         slots.build_inventory(slots.LINEAR, 5, 3, 1)
     with pytest.raises(ValueError):
         slots.build_inventory("octonion", 3, 1, 1)
+
+
+def test_slot_denominator():
+    assert slots.slot_denominator(slots.LINEAR, 4) == 4
+    assert slots.slot_denominator(slots.UNITARY, 3) == 3
+    assert slots.slot_denominator(slots.SYMPLECTIC, 1) == 2
+    assert slots.slot_denominator(slots.SYMPLECTIC, 4) == 4
+    assert slots.slot_denominator(slots.EVEN_ORTHOGONAL, 3) == 6
+    with pytest.raises(ValueError, match="unknown family"):
+        slots.slot_denominator("octonion", 1)
+
+
+def test_slot_denominator_divides_ell_minus_one():
+    for ell in (p for p in range(3, 200) if is_prime(p)):
+        for d in (d for d in range(1, ell) if (ell - 1) % d == 0):
+            for family in slots.INVENTORY_FAMILIES:
+                assert (ell - 1) % slots.slot_denominator(family, d) == 0, (family, ell, d)
 
 
 def test_linear_inventory_3_1_1():
