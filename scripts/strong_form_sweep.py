@@ -27,7 +27,6 @@ def main() -> int:
     ap.add_argument("--wmax", type=int, default=8)
     ap.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     ap.add_argument("--out")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--keep-timestamp", action="store_true")
     args = ap.parse_args()
 
@@ -38,7 +37,6 @@ def main() -> int:
         "--a", args.a,
         "--w", f"0..{args.wmax}",
         "--format", args.format,
-        "--jobs", str(args.jobs),
     ]
     if not args.keep_timestamp:
         argv.append("--strip-timestamp")

@@ -173,13 +173,12 @@ class EllProfile:
 
     @property
     def dprime(self) -> int:
-        return self.d // math.gcd(self.d, 2)
+        return slots.dprime_of(self.d)
 
 
 def _profile(x: int, ell: int, q: int, d: int | None = None) -> EllProfile:
-    """Profile of ell relative to x = q or -q (ell odd unless d is given,
-    ell not dividing x, x not 1 or -1): d is the order of x mod ell and a
-    the valuation of x**d - 1, both from modular powers, never forming x**d."""
+    """Profile of ell relative to x = q or -q: d is the order of x mod ell
+    (unless given) and a the valuation of x**d - 1, by modular powers alone."""
     if d is None:
         d = next(t for t in _divisors(ell - 1) if pow(x, t, ell) == 1)
     a = 1
@@ -264,8 +263,9 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
     block of the given family.
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
-    (ell**a - ell**(a-1))/denom, with denom from slots.slot_denominator.
-    The result is exact except for the even special orthogonal groups,
+    (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
+    path shares denom, so the two-path check cannot test it (test_slots pins
+    it). The result is exact except for the even special orthogonal groups,
     where it is only an upper bound (see exactness_for).
     """
     if query.family not in WEIGHT_FAMILIES:
@@ -725,11 +725,8 @@ def sweep(
     timestamp: str | None = None,
 ) -> CensusReport:
     """Evaluate every row of the sweep, in SweepSpec.row_params order, and
-    assemble the report.
-
-    jobs is accepted for compatibility and ignored: rows run serially. The
-    row work is pure-Python integer arithmetic that holds the GIL, so a
-    thread pool only added switching and measured slower than one thread."""
+    assemble the report. jobs is ignored: the row work holds the GIL, so a
+    thread pool measured slower than running the rows serially."""
     cache = cache or shared_cache
     results = [_evaluate_row(p, cache, check_two_path) for p in spec.row_params()]
     rows = [row for row, _ in results]

@@ -41,8 +41,7 @@ def exact_div(num: int, den: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Primality by trial division, memoised: a sweep asks about the same
-    few primes once per row and layer."""
+    """Trial division, memoised: a sweep asks about the same primes per row."""
     if n < 2:
         return False
     i = 2

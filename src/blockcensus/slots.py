@@ -47,6 +47,7 @@ __all__ = [
     "SlotClass",
     "SlotInventory",
     "WeightVector",
+    "dprime_of",
     "slot_denominator",
     "CentralizerShape",
     "build_inventory",
@@ -143,13 +144,17 @@ class SlotInventory:
         return self.base_slots() + self.deep_slots(budget)
 
 
+def dprime_of(d: int) -> int:
+    """d' = d / gcd(d, 2): d for odd d, d / 2 for even d."""
+    return d // math.gcd(d, 2)
+
+
 def slot_denominator(family: str, d: int) -> int:
     """Divisor of the slot counts: d for the linear and unitary families,
-    2d' with d' = d / gcd(d, 2) otherwise. It divides ell - 1 for odd ell
-    whenever d does."""
+    2d' otherwise. It divides ell - 1 for odd ell whenever d does."""
     if family not in INVENTORY_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return d if family in (LINEAR, UNITARY) else 2 * (d // math.gcd(d, 2))
+    return d if family in (LINEAR, UNITARY) else 2 * dprime_of(d)
 
 
 def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
@@ -168,8 +173,7 @@ def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
         raise ValueError("a must be >= 1")
     if d < 1 or (ell - 1) % d:
         raise ValueError(f"order parameter d={d} must divide ell-1={ell - 1}")
-    dprime = d // math.gcd(d, 2)
-    return SlotInventory(family, ell, d, dprime, a, denom, weyl_base=denom)
+    return SlotInventory(family, ell, d, dprime_of(d), a, denom, weyl_base=denom)
 
 
 @dataclass(frozen=True)
@@ -327,7 +331,8 @@ def block_count_proof_path(
     _twisted_series, so large budgets stay cheap. The slot series is built
     from partition numbers by truncated products alone, without the
     divisor-sum recurrence or the composition tail series of the closed
-    formulas, which keeps this an independent check against them.
+    formulas, which keeps this an independent check against them in all
+    but the slot_denominator both share (pinned by test_slots).
     """
     if w < 0:
         raise ValueError("weight must be >= 0")

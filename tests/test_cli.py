@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -365,14 +364,10 @@ def test_bounds_battery(capsys):
 
 
 def test_console_entry_point():
-    # run the package this suite imported, installed or not
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "blockcensus.cli", "--version"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "blockcensus" in result.stdout

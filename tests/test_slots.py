@@ -37,11 +37,19 @@ def test_build_inventory_rejects_bad_parameters():
 
 
 def test_slot_denominator():
-    assert slots.slot_denominator(slots.LINEAR, 4) == 4
-    assert slots.slot_denominator(slots.UNITARY, 3) == 3
-    assert slots.slot_denominator(slots.SYMPLECTIC, 1) == 2
-    assert slots.slot_denominator(slots.SYMPLECTIC, 4) == 4
-    assert slots.slot_denominator(slots.EVEN_ORTHOGONAL, 3) == 6
+    # the closed form and the slot path share this value, so the two-path
+    # check cannot catch a wrong rule; these fixed values are its guard
+    assert [slots.dprime_of(d) for d in (1, 2, 3, 4, 5, 6, 8)] == [1, 1, 3, 2, 5, 3, 4]
+    expected = {
+        slots.LINEAR: [1, 2, 3, 4, 5, 6, 8],
+        slots.UNITARY: [1, 2, 3, 4, 5, 6, 8],
+        slots.SYMPLECTIC: [2, 2, 6, 4, 10, 6, 8],
+        slots.EVEN_ORTHOGONAL: [2, 2, 6, 4, 10, 6, 8],
+    }
+    assert set(expected) == set(slots.INVENTORY_FAMILIES)
+    for family, denoms in expected.items():
+        got = [slots.slot_denominator(family, d) for d in (1, 2, 3, 4, 5, 6, 8)]
+        assert got == denoms, family
     with pytest.raises(ValueError, match="unknown family"):
         slots.slot_denominator("octonion", 1)
 
