@@ -207,10 +207,10 @@ def ennola_profile(q: int, ell: int) -> EllProfile:
     groups. Odd ell only."""
     if not is_prime(ell) or ell == 2:
         raise ValueError("ennola profiles are defined for odd primes only")
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if q % ell == 0:
         raise ValueError(f"ell={ell} divides q={q}; profile undefined")
-    if abs(q) < 2:
-        raise ValueError(f"q={q} has no profile: (-q)**e - 1 vanishes")
     return _profile(-q, ell, q)
 
 

@@ -13,6 +13,8 @@ helpers at the bottom, which exist precisely to confront the two sides.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -101,16 +103,19 @@ def d_core_census(m: int, d: int) -> int:
 
 
 def compositions_into(total: int, parts: int):
-    """Yield the weak compositions of total into exactly `parts` slots."""
+    """Yield the weak compositions of total into exactly `parts` slots, in
+    lexicographic order. Stars and bars: bar i stands after c_i of the
+    stars, 0 <= c_1 <= ... <= c_{parts-1} <= total, and the parts are the
+    differences of consecutive c_i, with c_0 = 0 and c_parts = total."""
     if parts < 0 or total < 0:
         raise ValueError("need total >= 0 and parts >= 0")
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in compositions_into(total - head, parts - 1):
-            yield (head,) + rest
+    end = (total,)
+    for bars in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, bars + end, (0,) + bars))
 
 
 class _PartitionLists:
@@ -149,13 +154,10 @@ def multipartition_enumerate(s: int, t: int) -> int:
             f"enumeration cap exceeded: s <= {ENUM_MAX_COLOURS} and "
             f"t <= {ENUM_MAX_SIZE}, got s={s}, t={t}"
         )
-    total = 0
-    for sizes in compositions_into(t, s):
-        product = 1
-        for sz in sizes:
-            product *= len(_partition_lists.of(sz))
-        total += product
-    return total
+    counts = [len(_partition_lists.of(sz)) for sz in range(t + 1)]
+    return sum(
+        math.prod(map(counts.__getitem__, sizes)) for sizes in compositions_into(t, s)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +343,67 @@ def mat_identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mat_mul(field: SmallField, a, b):
+    """The product a b, read from the field's addition and multiplication
+    tables; written out in full for n = 2 and n = 3 (MAX_N caps the
+    censuses there), the plain triple loop for any other n."""
+    A, M = field._add, field._mul
     n = len(a)
-    add, mul = field.add, field.mul
+    if n == 3:
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        m0, m1, m2 = M[a00], M[a01], M[a02]
+        r0 = (
+            A[A[m0[b00]][m1[b10]]][m2[b20]],
+            A[A[m0[b01]][m1[b11]]][m2[b21]],
+            A[A[m0[b02]][m1[b12]]][m2[b22]],
+        )
+        m0, m1, m2 = M[a10], M[a11], M[a12]
+        r1 = (
+            A[A[m0[b00]][m1[b10]]][m2[b20]],
+            A[A[m0[b01]][m1[b11]]][m2[b21]],
+            A[A[m0[b02]][m1[b12]]][m2[b22]],
+        )
+        m0, m1, m2 = M[a20], M[a21], M[a22]
+        r2 = (
+            A[A[m0[b00]][m1[b10]]][m2[b20]],
+            A[A[m0[b01]][m1[b11]]][m2[b21]],
+            A[A[m0[b02]][m1[b12]]][m2[b22]],
+        )
+        return (r0, r1, r2)
+    if n == 2:
+        (b00, b01), (b10, b11) = b
+        (a00, a01), (a10, a11) = a
+        m0, m1 = M[a00], M[a01]
+        r0 = (A[m0[b00]][m1[b10]], A[m0[b01]][m1[b11]])
+        m0, m1 = M[a10], M[a11]
+        return (r0, (A[m0[b00]][m1[b10]], A[m0[b01]][m1[b11]]))
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = 0
             for t in range(n):
-                acc = add(acc, mul(a[i][t], b[t][j]))
+                acc = A[acc][M[a[i][t]][b[t][j]]]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
 def mat_det(field: SmallField, a) -> int:
+    """Determinant by cofactor expansion along the first row; n = 2 and
+    n = 3 are written out from the field's tables."""
+    A, M, N = field._add, field._mul, field._neg
     n = len(a)
+    if n == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        m0, m1, m2 = M[a10], M[a11], M[a12]
+        c0 = A[m1[a22]][N[m2[a21]]]
+        c1 = A[m0[a22]][N[m2[a20]]]
+        c2 = A[m0[a21]][N[m1[a20]]]
+        return A[A[M[a00][c0]][N[M[a01][c1]]]][M[a02][c2]]
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        return A[M[a00][a11]][N[M[a01][a10]]]
     if n == 1:
         return a[0][0]
     det = 0
@@ -391,14 +438,20 @@ def mat_inv(field: SmallField, a):
 
 
 def mat_pow(field: SmallField, a, e: int):
+    """a**e by square-and-multiply from the lowest set bit; e < 0 inverts a first."""
     if e < 0:
         return mat_pow(field, mat_inv(field, a), -e)
-    result = mat_identity(len(a))
-    base = a
+    if e == 0:
+        return mat_identity(len(a))
+    while not e & 1:
+        a = mat_mul(field, a, a)
+        e >>= 1
+    result = a
+    e >>= 1
     while e:
+        a = mat_mul(field, a, a)
         if e & 1:
-            result = mat_mul(field, result, base)
-        base = mat_mul(field, base, base)
+            result = mat_mul(field, result, a)
         e >>= 1
     return result
 

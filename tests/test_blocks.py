@@ -114,6 +114,14 @@ def test_ennola_profile_rejects_unit_q():
             ennola_profile(q, 3)
 
 
+def test_ennola_profile_refuses_q_below_two_like_ell_profile():
+    # a negative q is not a field size, even though -q would give a profile
+    for q in (-3, -2, 0, 1):
+        for derive in (ell_profile, ennola_profile):
+            with pytest.raises(ValueError, match="q must be >= 2"):
+                derive(q, 5)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         EllProfile(9, 1, 1)

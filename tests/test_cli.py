@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import blockcensus
 from blockcensus import blocks, cli, tables
 
 DATA_DIR = Path(tables.__file__).parent / "data"
@@ -145,6 +147,21 @@ def test_census_profile_mismatch_at_a_large_prime(capsys):
     assert code == 0
     assert out.splitlines()[-1].endswith(",ERROR,")
     assert "derived (d=10000000018, a=1)" in err
+
+
+def test_census_refuses_negative_q_for_unitary_and_linear_rows(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--family", "GU,GL", "--ell", "5", "--q", "-3",
+        "--d", "2", "--w", "1", "--strip-timestamp",
+    )
+    assert code == 0
+    error_rows = [line for line in out.splitlines() if line.endswith(",ERROR,")]
+    assert [row.split(",")[0] for row in error_rows] == ["GU", "GL"]
+    errors = err.splitlines()
+    assert len(errors) == 2
+    for family, line in zip(("GU", "GL"), errors):
+        assert line.startswith(f"error: {family} row")
+        assert line.endswith("q must be >= 2")
 
 
 def test_census_error_rows_go_to_stderr(capsys):
@@ -364,10 +381,17 @@ def test_bounds_battery(capsys):
 
 
 def test_console_entry_point():
+    # the subprocess imports the same package this test run imported
+    env = dict(os.environ)
+    package_parent = str(Path(blockcensus.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_parent, env.get("PYTHONPATH")])
+    )
     result = subprocess.run(
         [sys.executable, "-m", "blockcensus.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "blockcensus" in result.stdout

@@ -2,7 +2,7 @@ import inspect
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockcensus import counting, oracle, slots
@@ -57,9 +57,31 @@ def test_compositions_into():
     assert len(list(oracle.compositions_into(5, 3))) == 21
 
 
+def _recursive_compositions(total, parts):
+    # the head-first recursion compositions_into replaced, kept as a reference
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def test_compositions_into_matches_recursive_reference():
+    for total in range(11):
+        for parts in range(7):
+            assert list(oracle.compositions_into(total, parts)) == list(
+                _recursive_compositions(total, parts)
+            ), (total, parts)
+    for total, parts in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            list(oracle.compositions_into(total, parts))
+
+
 def test_multipartition_enumeration_matches_recurrence():
-    for s in range(1, 9):
-        for t in range(9):
+    for s in range(1, oracle.ENUM_MAX_COLOURS + 1):
+        for t in range(oracle.ENUM_MAX_SIZE + 1):
             assert oracle.multipartition_enumerate(s, t) == multipartition_count(s, t)
 
 
@@ -118,6 +140,70 @@ def test_matrix_helpers_roundtrip():
     assert oracle.mat_det(field, singular) == 0
     with pytest.raises(ZeroDivisionError):
         oracle.mat_inv(field, singular)
+
+
+# every supported field, plus GF(8) under its alternative modulus
+FIELDS = [(f"q{q}", oracle.SmallField(q)) for q in oracle._SUPPORTED_Q] + [
+    (f"q{q}alt", oracle.SmallField(q, modulus)) for q, modulus in oracle._ALT_MODULI.items()
+]
+KERNEL_CASES = pytest.mark.parametrize(
+    "field, n",
+    [pytest.param(field, n, id=f"{label}-n{n}") for label, field in FIELDS for n in range(1, 5)],
+)
+
+
+def _mat_mul_reference(field, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0
+            for t in range(n):
+                acc = field.add(acc, field.mul(a[i][t], b[t][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_det_reference(field, a):
+    # cofactor expansion along the first row, minors by recursion
+    if len(a) == 1:
+        return a[0][0]
+    det = 0
+    for j, entry in enumerate(a[0]):
+        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
+        term = field.mul(entry, _mat_det_reference(field, minor))
+        det = field.add(det, field.neg(term) if j % 2 else term)
+    return det
+
+
+def _matrices(field, n):
+    entry = st.integers(0, field.q - 1)
+    return st.tuples(*[st.tuples(*[entry] * n)] * n)
+
+
+@KERNEL_CASES
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mat_mul_and_det_match_literal_references(field, n, data):
+    a = data.draw(_matrices(field, n))
+    b = data.draw(_matrices(field, n))
+    assert oracle.mat_mul(field, a, b) == _mat_mul_reference(field, a, b)
+    assert oracle.mat_det(field, a) == _mat_det_reference(field, a)
+
+
+@KERNEL_CASES
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), e=st.integers(-6, 40))
+def test_mat_pow_matches_repeated_products(field, n, data, e):
+    a = data.draw(_matrices(field, n))
+    assume(_mat_det_reference(field, a) != 0)
+    base = a if e >= 0 else oracle.mat_inv(field, a)
+    expected = oracle.mat_identity(n)
+    for _ in range(abs(e)):
+        expected = _mat_mul_reference(field, expected, base)
+    assert oracle.mat_pow(field, a, e) == expected
 
 
 def test_gl_order():
