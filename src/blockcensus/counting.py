@@ -5,12 +5,17 @@ Everything is plain Python int arithmetic, so nothing overflows. The few
 divisions performed along the way are provably exact for valid parameters
 and are checked at runtime; an inexact division signals a transcription bug
 upstream, not a rounding concern.
+
+Both census paths take their long series products from one kernel,
+_mul_trunc: the closed form for the coloured-partition rows, the slot path
+for its partition powers and folds. The kernel is an input both paths
+share, like slots.slot_denominator, so the two-path check cannot cover it;
+tests/test_counting.py pins it against a literal schoolbook product.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import threading
 
@@ -37,6 +42,68 @@ def exact_div(num: int, den: int) -> int:
     if rem:
         raise ArithmeticError(f"division is not exact: {num} / {den}")
     return quot
+
+
+# Operand length from which _mul_trunc packs instead of looping. On
+# partition-number series (Python 3.11, x86_64) the decimal product passed
+# the schoolbook loop between lengths 100 and 200.
+KRONECKER_MIN_LEN = 128
+
+
+def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
+    """Coefficients 0..m of the product of two series with nonnegative
+    integer coefficients; a series is zero past its end.
+
+    Short operands take the schoolbook loop. Long ones are multiplied by
+    Kronecker substitution: each series is written as one decimal integer
+    with a fixed-width slot per coefficient, wide enough for any product
+    coefficient, so the slots of the integer product are the coefficients
+    of the series product. libmpdec multiplies long operands by a
+    number-theoretic transform. The slot width is checked against the
+    int/str conversion limit (sys.get_int_max_str_digits), and wider
+    coefficients take the schoolbook loop, so the limit is never changed.
+    """
+    square = a is b
+    a = a[: m + 1]
+    b = a if square else b[: m + 1]
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    if la >= KRONECKER_MIN_LEN:
+        bound = max(a) * max(b) * la  # no product coefficient exceeds it
+        if not bound:
+            return [0] * (m + 1)
+        try:
+            width = len(str(bound))
+        except ValueError:  # wider than the int/str conversion limit
+            pass
+        else:
+            return _kronecker(a, b, m, width)
+    rb = b[::-1]
+    out = [sum(map(operator.mul, a, b[n::-1])) for n in range(min(m + 1, lb))]
+    out += [
+        sum(map(operator.mul, a[n - lb + 1 :], rb))
+        for n in range(lb, min(m + 1, la + lb - 1))
+    ]
+    return out + [0] * (m + 1 - len(out))
+
+
+def _kronecker(a: list[int], b: list[int], m: int, width: int) -> list[int]:
+    # imported here, so runs whose products stay short never load decimal
+    import decimal
+
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    slot = f"%0{width}d".__mod__
+    packed_a = decimal.Decimal("".join(map(slot, reversed(a))))
+    packed_b = packed_a if b is a else decimal.Decimal("".join(map(slot, reversed(b))))
+    count = min(m + 1, len(a) + len(b) - 1)
+    digits = str(context.multiply(packed_a, packed_b)).rjust(count * width, "0")
+    # the coefficient of x**n ends n * width digits from the right
+    end = len(digits)
+    out = [int(digits[i - width : i]) for i in range(end, end - count * width, -width)]
+    return out + [0] * (m + 1 - count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,11 +136,14 @@ class CountCache:
     Tables: the partition numbers, the divisor sums sigma(n), one row
     k(s, 0..) per colour count s, one p_ell table per prime, and one tail
     series c_t(0..) per (ell, t) for composition_sum. The slot path owns
-    one more: the folded slot series per (ell, a, denom) of
-    slots._twisted_series, which nothing in the closed-form path reads.
-    Every table only grows, and a fresh cache recomputes identical values,
-    so a longer table never changes an entry already read. The slot series
-    grows by replacement with a longer list, the others by appending.
+    one more, holding two series per (ell, a, denom): the folded slot
+    series of slots._twisted_series and the block series of
+    slots._block_series, that one times P(x)**weyl_base. Nothing in the
+    closed-form path reads them, and the slot path reads neither the
+    sigma table nor the coloured-partition rows. Every table only grows,
+    and a fresh cache recomputes identical values, so a longer table never
+    changes an entry already read. The slot series grow by replacement
+    with a longer list, the others by appending.
 
     A single instance may be shared between worker threads. Reads of an
     entry a table already holds take no lock; the lock is taken only to
@@ -88,7 +158,7 @@ class CountCache:
         self._tuples: dict[int, list[int]] = {}
         self._ppower: dict[int, list[int]] = {}
         self._tails: dict[tuple[int, int], list[int]] = {}
-        self._slots: dict[tuple[int, int, int], list[int]] = {}
+        self._slots: dict[tuple[str, int, int, int], list[int]] = {}
 
     def partition_count(self, t: int) -> int:
         """Number of partitions of t, by the pentagonal-number recurrence."""
@@ -115,34 +185,39 @@ class CountCache:
             return parts[t]
 
     def _extend_sigma(self, n: int) -> None:
-        # caller holds the lock
+        # caller holds the lock; a sieve adds each i to its multiples in
+        # the new range len(sig)..n
         sig = self._sigma
-        for m in range(len(sig), n + 1):
-            total = 0
-            i = 1
-            while i * i <= m:
-                if m % i == 0:
-                    total += i
-                    j = m // i
-                    if j != i:
-                        total += j
-                i += 1
-            sig.append(total)
+        start = len(sig)
+        if n < start:
+            return
+        new = [0] * (n + 1 - start)
+        for i in range(1, n + 1):
+            for j in range(-(-start // i) * i - start, len(new), i):
+                new[j] += i
+        sig.extend(new)
 
     def _tuple_row(self, s: int, t: int) -> list[int]:
-        """The row k(s, 0..), holding at least t + 1 entries; s >= 0."""
+        """The row k(s, 0..), holding at least t + 1 entries; s >= 0.
+
+        n k(s, n) = s h(n) with h(n) = sum_{1 <= j <= n} sigma(j) k(s, n - j).
+        A row that is too short grows to at least twice its length, so a
+        sweep of ascending t extends it O(log t) times. The part of h(n) due
+        to the entries the row already holds is taken first, by one
+        product; _online_row then appends the rest in order."""
         row = self._tuples.get(s)
         if row is not None and t < len(row):
             return row
         with self._lock:
             row = self._tuples.setdefault(s, [1])
+            start = len(row)
+            if t < start:
+                return row
+            t = max(t, 2 * start)
             self._extend_sigma(t)
             sig = self._sigma
-            for n in range(len(row), t + 1):
-                # row holds k(s, 0..n-1), so reversed(row) pairs sigma(j)
-                # with k(s, n - j)
-                acc = sum(map(operator.mul, sig[1 : n + 1], reversed(row)))
-                row.append(exact_div(s * acc, n))
+            h = _mul_trunc(row, sig, t)[start:]
+            _online_row(row, sig, s, h, start, start, t + 1)
             return row
 
     def multipartition_count(self, s: int, t: int) -> int:
@@ -176,7 +251,7 @@ class CountCache:
                 series.append(sum(map(operator.mul, row[m::-ell], series)))
             return series
 
-    def _slot_series(self, key: tuple[int, int, int], n: int, build) -> list[int]:
+    def _slot_series(self, key: tuple[str, int, int, int], n: int, build) -> list[int]:
         """The slot path's series for key, holding at least n + 1 entries.
 
         build(budget) returns the series truncated at budget. A missing or
@@ -221,6 +296,31 @@ class CountCache:
         self.partition_count(max_t)
         for s in colour_counts:
             self.multipartition_count(s, max_t)
+
+
+def _online_row(
+    row: list[int], sig: list[int], s: int, h: list[int], base: int, lo: int, hi: int
+) -> None:
+    """Append k(s, lo..hi-1) to row, which holds k(s, 0..lo-1).
+
+    h[n - base] holds the part of h(n) due to k(s, i) for i < lo. Divide and
+    conquer (an online convolution, after van der Hoeven, "Relax, but don't
+    be too lazy", 2002): finish the left half, add its contribution to the
+    right half with one product, then finish the right half. Every division
+    by n is checked.
+    """
+    if hi - lo <= KRONECKER_MIN_LEN:
+        for n in range(lo, hi):
+            # sig[n - lo:0:-1] is sigma(n - lo), ..., sigma(1), against k(s, lo..n-1)
+            acc = h[n - base] + sum(map(operator.mul, sig[n - lo : 0 : -1], row[lo:n]))
+            row.append(exact_div(s * acc, n))
+        return
+    mid = (lo + hi) // 2
+    _online_row(row, sig, s, h, base, lo, mid)
+    cross = _mul_trunc(row[lo:mid], sig[: hi - lo], hi - lo - 1)
+    for n in range(mid, hi):
+        h[n - base] += cross[n - lo]
+    _online_row(row, sig, s, h, base, mid, hi)
 
 
 shared_cache = CountCache()
@@ -323,38 +423,25 @@ def val_factorial(ell: int, w: int) -> int:
     return total
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
-    out = [0] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > deg:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > deg:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def d_core_count(m: int, d: int, cache: CountCache | None = None) -> int:
     """Number of partitions of m with no hook of length d.
 
     Coefficient of x**m in prod_n (1 - x**(d n))**d / (1 - x**n): the product
-    part is expanded as a truncated polynomial and convolved with the
-    partition numbers.
+    part is expanded as a truncated polynomial, one factor 1 - x**g at a time
+    in place, and convolved with the partition numbers. Its coefficients
+    are signed, so it never goes through _mul_trunc.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     cache = cache or shared_cache
-    poly = [0] * (m + 1)
-    poly[0] = 1
-    for n in range(1, m // d + 1):
-        factor = [0] * (m + 1)
-        for k in range(0, min(d, m // (d * n)) + 1):
-            factor[d * n * k] = (-1) ** k * math.comb(d, k)
-        poly = _poly_mul_trunc(poly, factor, m)
+    poly = [1] + [0] * m
+    for g in range(d, m + 1, d):
+        for _ in range(d):
+            # descending, so poly[i - g] still holds the value before this factor
+            for i in range(m, g - 1, -1):
+                poly[i] -= poly[i - g]
     return sum(poly[j] * cache.partition_count(m - j) for j in range(m + 1) if poly[j])
 
 

@@ -12,6 +12,7 @@ helpers at the bottom, which exist precisely to confront the two sides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -338,7 +339,9 @@ class SmallField:
 # dense matrices over a SmallField, as tuples of row tuples
 
 
+@functools.lru_cache(maxsize=None)
 def mat_identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity, built once per n; the result is immutable."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 

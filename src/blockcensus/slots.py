@@ -16,11 +16,13 @@ unit weight u contributes the factor P(x**u)**c, with P the partition
 generating function, so the non-principal slots together contribute the
 product of these factors over the slot classes. Each power is taken by
 repeated squaring of the truncated partition series and folded in at its
-stride u. The route is independent of the closed formulas in the blocks
-module: for the slots it uses only partition numbers and truncated
-convolutions, never the divisor-sum (sigma) recurrence of the
-coloured-partition rows nor the composition tail series. The one
-coloured-partition row it reads is the principal factor's.
+stride u; the principal factor is P(x)**weyl_base, taken the same way.
+The route is independent of the closed formulas in the blocks module: it
+uses only partition numbers and truncated products, never the divisor-sum
+(sigma) recurrence of the coloured-partition rows nor the composition tail
+series. Its long products go through counting._mul_trunc, the kernel the
+closed form also uses; like slot_denominator, that shared input is pinned
+by its own test rather than by the two-path check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .counting import CountCache, exact_div, is_prime, shared_cache
+from .counting import (
+    KRONECKER_MIN_LEN,
+    CountCache,
+    _mul_trunc,
+    exact_div,
+    is_prime,
+    shared_cache,
+)
 
 LINEAR = "linear"
 UNITARY = "unitary"
@@ -274,12 +283,6 @@ def unipotent_block_count(
     return total
 
 
-def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product of two series truncated at degree m; both hold at least
-    m + 1 entries, so b[n::-1] is b[n], ..., b[0]."""
-    return [sum(map(operator.mul, a, b[n::-1])) for n in range(m + 1)]
-
-
 def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
     """P(x)**c truncated at degree m, for c >= 1, by repeated squaring,
     where P(x) = sum_v p(v) x**v is the partition generating function."""
@@ -295,12 +298,20 @@ def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
 
 
 def _fold_slot_classes(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    series = [1] + [0] * budget
-    for cls in inv.slot_classes(budget):
+    # the base slots come first, at unit weight 1, so the first power
+    # starts the product
+    classes = inv.slot_classes(budget)
+    series = _partition_power(classes[0].slot_count, budget, cache)
+    for cls in classes[1:]:
         u = cls.unit_weight
         power = _partition_power(cls.slot_count, budget // u, cache)
-        # series[n::-u] is the old series at n, n - u, ...: n // u + 1 terms
-        series = [sum(map(operator.mul, series[n::-u], power)) for n in range(budget + 1)]
+        if len(power) < KRONECKER_MIN_LEN:
+            # series[n::-u] is the old series at n, n - u, ...: n // u + 1 terms
+            series = [sum(map(operator.mul, series[n::-u], power)) for n in range(budget + 1)]
+        else:
+            spread = [0] * (budget + 1)  # power(x**u)
+            spread[::u] = power
+            series = _mul_trunc(series, spread, budget)
     return series
 
 
@@ -313,9 +324,26 @@ def _twisted_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[
     larger budget extends it without changing a coefficient, so the cache
     keeps one grow-only series per key and a request reads its prefix."""
     return cache._slot_series(
-        (inv.ell, inv.a, inv.denom),
+        ("twisted", inv.ell, inv.a, inv.denom),
         budget,
         lambda top: _fold_slot_classes(inv, top, cache),
+    )
+
+
+def _block_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
+    """Coefficients 0..budget (at least) of P(x)**weyl_base times the
+    slot series. The principal factor contributes the coefficient of
+    P(x)**weyl_base at u on weight u, so the block count at weight w is
+    this series at w. Kept like _twisted_series; build_inventory sets
+    weyl_base to denom, so the key determines it."""
+    return cache._slot_series(
+        ("block", inv.ell, inv.a, inv.denom),
+        budget,
+        lambda top: _mul_trunc(
+            _partition_power(inv.weyl_base, top, cache),
+            _twisted_series(inv, top, cache),
+            top,
+        ),
     )
 
 
@@ -326,23 +354,20 @@ def block_count_proof_path(
     summing centraliser contributions over all weight vectors.
 
     Equivalent to enumerating enumerate_weight_vectors and adding up
-    unipotent_block_count, but organized as one convolution of the
-    principal factor's coloured-partition row with the slot series of
-    _twisted_series, so large budgets stay cheap. The slot series is built
-    from partition numbers by truncated products alone, without the
-    divisor-sum recurrence or the composition tail series of the closed
-    formulas, which keeps this an independent check against them in all
-    but the slot_denominator both share (pinned by test_slots).
+    unipotent_block_count, but organized as one series product: the
+    principal factor P(x)**weyl_base times the slot series of
+    _twisted_series, read at w, so large budgets stay cheap. Both are
+    built from partition numbers by truncated products alone; no sigma
+    row, coloured-partition row or composition tail series of the closed
+    formulas is read, which keeps this an independent check against them
+    in all but the inputs both share: slot_denominator and the product
+    kernel counting._mul_trunc, each pinned by its own test.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
     cache = cache or shared_cache
     inv = build_inventory(family, ell, d, a)
-    twisted = _twisted_series(inv, w, cache)
-    return sum(
-        cache.multipartition_count(inv.weyl_base, u) * twisted[w - u]
-        for u in range(w + 1)
-    )
+    return _block_series(inv, w, cache)[w]
 
 
 def eL_series_total(

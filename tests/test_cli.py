@@ -380,18 +380,46 @@ def test_bounds_battery(capsys):
     assert any(l.startswith("boundary chain") for l in lines)
 
 
-def test_console_entry_point():
-    # the subprocess imports the same package this test run imported
+def _package_env():
+    # a subprocess environment that imports the same package this test run
+    # imported
     env = dict(os.environ)
     package_parent = str(Path(blockcensus.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_parent, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "blockcensus.cli", "--version"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert result.returncode == 0
     assert "blockcensus" in result.stdout
+
+
+def test_short_products_never_load_decimal():
+    # decimal is imported on the first product past the crossover only, so
+    # the import and a small-weight census leave it unloaded
+    script = (
+        "import contextlib, io, sys\n"
+        "import blockcensus\n"
+        "from blockcensus import cli\n"
+        "loaded = ['decimal' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['census', '--family', 'GL,Sp', '--ell', '3,5', '--a', '1,2', '--w', '0..24'])\n"
+        "loaded.append('decimal' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['census', '--family', 'GL', '--ell', '3', '--d', '1', '--a', '1', '--w', '400'])\n"
+        "loaded.append('decimal' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[False, False, True]"

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcensus import counting
 from blockcensus.counting import (
+    KRONECKER_MIN_LEN,
     CountCache,
+    _mul_trunc,
     composition_sum,
     d_core_count,
     ell_compositions,
@@ -290,6 +294,138 @@ def test_val_factorial_is_legendre_sum(ell, w):
         total += w // power
         power *= ell
     assert val_factorial(ell, w) == total
+
+
+def _schoolbook(a, b, m):
+    # the literal truncated product, every pair of terms once
+    out = [0] * (m + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= m:
+                out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _series(draw, lengths):
+    # zeros, small and wide coefficients, all-zero input, and a stride
+    # spread b(x**u)
+    length = draw(lengths)
+    coeffs = st.sampled_from([0, 1, 9, 10, 99]) | st.integers(0, 10**3) | st.integers(0, 10**40)
+    kind = draw(st.sampled_from(["plain", "zero", "spread"]))
+    if kind == "zero":
+        return [0] * length
+    if kind == "plain":
+        return draw(st.lists(coeffs, min_size=length, max_size=length))
+    u = draw(st.integers(2, 5))
+    spread = [0] * length
+    spread[::u] = draw(st.lists(coeffs, min_size=len(spread[::u]), max_size=len(spread[::u])))
+    return spread
+
+
+_ANY_LENGTH = st.sampled_from([0, 1, 2, 3, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN]) | (
+    st.integers(0, KRONECKER_MIN_LEN + 60)
+)
+_LONG = st.integers(KRONECKER_MIN_LEN, KRONECKER_MIN_LEN + 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_series(_ANY_LENGTH), b=_series(_ANY_LENGTH), data=st.data())
+def test_mul_trunc_is_the_schoolbook_product(a, b, data):
+    # m runs from truncation below both operand lengths to past the product
+    m = data.draw(st.integers(0, len(a) + len(b) + 3))
+    assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+    assert _mul_trunc(a, a, m) == _schoolbook(a, a, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_series(_LONG), b=_series(_LONG), data=st.data())
+def test_mul_trunc_packed_is_the_schoolbook_product(a, b, data):
+    # both operands past the crossover, truncated at or above it
+    m = data.draw(st.integers(KRONECKER_MIN_LEN - 1, len(a) + len(b) + 3))
+    assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+    assert _mul_trunc(b, b, m) == _schoolbook(b, b, m)
+
+
+def test_mul_trunc_slot_width_is_tight():
+    # the coefficient at degree len - 1 equals the bound max(a) * max(b) * len
+    # that sets the slot width, so a slot one digit narrower would carry
+    # into the next one
+    for length, x, y in ((KRONECKER_MIN_LEN, 5, 1), (200, 5, 1), (250, 4, 10**6), (400, 1, 25)):
+        a, b = [x] * length, [y] * length
+        product = _mul_trunc(a, b, 2 * length)
+        assert product[length - 1] == x * y * length
+        assert product == _schoolbook(a, b, 2 * length)
+    assert _mul_trunc([1, 2], [3], 0) == [3]
+    assert _mul_trunc([2], [3, 4], 3) == [6, 8, 0, 0]
+    assert _mul_trunc([], [1, 2], 2) == [0, 0, 0]
+
+
+def test_mul_trunc_wide_coefficients_take_the_schoolbook_loop(monkeypatch):
+    # a bound past the int/str conversion limit (4,300 digits by default)
+    # must neither pack nor raise the limit
+    def refuse(*args):
+        raise AssertionError("the kernel must not pack or change the limit")
+
+    monkeypatch.setattr(counting, "_kronecker", refuse)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    wide = 10**4400
+    a = [wide + i for i in range(KRONECKER_MIN_LEN + 5)]
+    b = [i % 3 for i in range(KRONECKER_MIN_LEN + 2)]
+    m = KRONECKER_MIN_LEN + 50
+    assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+
+
+def _recurrence_row(s, t):
+    # the divisor-sum recurrence term by term, with trial-division sigma
+    sigma = [0] + [sum(i for i in range(1, n + 1) if n % i == 0) for n in range(1, t + 1)]
+    row = [1]
+    for n in range(1, t + 1):
+        acc = sum(sigma[j] * row[n - j] for j in range(1, n + 1))
+        row.append(exact_div(s * acc, n))
+    return row
+
+
+def test_tuple_row_is_the_recurrence():
+    for s in (1, 2, 3, 7):
+        assert CountCache()._tuple_row(s, 600)[:601] == _recurrence_row(s, 600)
+
+
+def test_tuple_row_is_prefix_stable():
+    # rows grow by the online convolution from wherever they stopped; one
+    # cache grown step by step must hold what fresh caches compute
+    grown = CountCache()
+    for s in (2, 3):
+        for t in (0, 233, 700, 1500):
+            fresh = CountCache()._tuple_row(s, t)
+            assert grown._tuple_row(s, t)[: t + 1] == fresh[: t + 1]
+    assert grown._tuple_row(3, 1500)[:601] == _recurrence_row(3, 600)
+
+
+def test_sigma_sieve_is_prefix_stable():
+    grown = CountCache()
+    for n in (0, 1, 2, 17, 18, 100, 257):
+        grown._extend_sigma(n)
+    expected = [0] + [sum(i for i in range(1, n + 1) if n % i == 0) for n in range(1, 258)]
+    assert grown._sigma == expected
+
+
+def _d_core_reference(m, d):
+    # prod_n (1 - x**(d n))**d expanded by binomials and a full schoolbook
+    # product, then convolved with the partition numbers
+    poly = [1] + [0] * m
+    for n in range(1, m // d + 1):
+        factor = [0] * (m + 1)
+        for k in range(min(d, m // (d * n)) + 1):
+            factor[d * n * k] = (-1) ** k * math.comb(d, k)
+        poly = _schoolbook(poly, factor, m)
+    return sum(poly[j] * partition_count(m - j) for j in range(m + 1))
+
+
+def test_d_core_count_is_the_schoolbook_expansion():
+    for d in range(1, 7):
+        for m in range(61):
+            assert d_core_count(m, d, CountCache()) == _d_core_reference(m, d), (m, d)
 
 
 def test_d_core_count_values():

@@ -206,6 +206,13 @@ def test_mat_pow_matches_repeated_products(field, n, data, e):
     assert oracle.mat_pow(field, a, e) == expected
 
 
+def test_mat_identity_is_built_once_per_n():
+    for n in range(1, 5):
+        identity = oracle.mat_identity(n)
+        assert identity == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert oracle.mat_identity(n) is identity
+
+
 def test_gl_order():
     assert oracle.gl_order(2, 2) == 6
     assert oracle.gl_order(2, 4) == 180

@@ -364,6 +364,30 @@ def test_slot_series_is_prefix_stable():
     ) == _reference_block_count(inv, 7)
 
 
+def test_slot_path_reads_no_sigma_row(monkeypatch):
+    # the principal factor is P(x)**weyl_base, so neither the sigma table
+    # nor a coloured-partition row is touched; at w = 450 and ell = 3 the
+    # stride-3 fold and the principal product go through the packed kernel
+    expected = {
+        family: blocks.k_unipotent_block(
+            blocks.BlockQuery(family, blocks.EllProfile(3, 1, 1), w=450), CountCache()
+        )
+        for family in ("GL", "Sp")
+    }
+
+    def refuse(*args):
+        raise AssertionError("the slot path read the sigma recurrence")
+
+    for name in ("_extend_sigma", "_tuple_row", "multipartition_count"):
+        monkeypatch.setattr(CountCache, name, refuse)
+    for family, count in expected.items():
+        weight_family = blocks.WEIGHT_FAMILIES[family]
+        inv = slots.build_inventory(weight_family, 3, 1, 1)
+        cache = CountCache()
+        assert slots._twisted_series(inv, 450, cache)[:451] == _reference_twisted_series(inv, 450)
+        assert slots.block_count_proof_path(weight_family, 3, 1, 1, 450, cache) == count
+
+
 def test_slot_series_concurrent_growth():
     # entries are read without the lock and rebuilt under it: threads
     # growing one cache in different orders must read what one serial
