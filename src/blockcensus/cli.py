@@ -419,6 +419,8 @@ def _cmd_oracle(args) -> int:
             print(f"gmpn m={m} p={p} n={n}: {count} classes ({elapsed:.2f}s)")
     for text in args.multi:
         s_max, t_max = _parse_tuple(text, "multi", 2)
+        if s_max < 1 or t_max < 0:
+            raise CliError(f"--multi {text}: need S >= 1 and T >= 0")
         start = time.perf_counter()
         ok = True
         first_bad = ""
@@ -426,8 +428,9 @@ def _cmd_oracle(args) -> int:
             for s in range(1, s_max + 1):
                 for t in range(t_max + 1):
                     if oracle.multipartition_enumerate(s, t) != multipartition_count(s, t):
+                        if ok:
+                            first_bad = f" first mismatch at s={s}, t={t}"
                         ok = False
-                        first_bad = f" first mismatch at s={s}, t={t}"
         except ValueError as exc:
             raise CliError(f"--multi {text}: {exc}") from None
         all_ok = all_ok and ok

@@ -12,12 +12,14 @@ helpers at the bottom, which exist precisely to confront the two sides.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import slots
 from .blocks import ell_profile, valuation
@@ -145,9 +147,14 @@ def multipartition_tuples(s: int, t: int):
 
 
 def multipartition_enumerate(s: int, t: int) -> int:
-    """Count s-tuples of partitions of total size t by listing the size
-    compositions and explicitly enumerated partition lists, never touching
-    the divisor-sum recurrence. Capped to keep runtimes sane."""
+    """Count s-tuples of partitions of total size t from explicitly
+    enumerated partition lists, never touching the divisor-sum recurrence.
+    The tuple's sizes form a weak composition of t into s slots; the
+    compositions with one multiset of sizes are the arrangements of a
+    partition of t with at most s parts, padded with zeros to length s.
+    So the sum runs over those partitions, each weighted by its
+    s! / prod(mult!) arrangements times the product of the list lengths.
+    Capped to keep runtimes sane."""
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
     if s > ENUM_MAX_COLOURS or t > ENUM_MAX_SIZE:
@@ -156,9 +163,17 @@ def multipartition_enumerate(s: int, t: int) -> int:
             f"t <= {ENUM_MAX_SIZE}, got s={s}, t={t}"
         )
     counts = [len(_partition_lists.of(sz)) for sz in range(t + 1)]
-    return sum(
-        math.prod(map(counts.__getitem__, sizes)) for sizes in compositions_into(t, s)
-    )
+    s_factorial = math.factorial(s)
+    total = 0
+    for lam in _partition_lists.of(t):
+        if len(lam) > s:
+            continue
+        sizes = lam + (0,) * (s - len(lam))
+        arrangements = s_factorial
+        for mult in collections.Counter(sizes).values():
+            arrangements //= math.factorial(mult)
+        total += arrangements * math.prod(map(counts.__getitem__, sizes))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +236,7 @@ class SmallField:
             self.modulus = modulus
         self._build_tables()
         self._verify_axioms()
+        self._row_tables: dict[int, RowTables] = {}
 
     # -- element codecs -----------------------------------------------------
 
@@ -333,6 +349,39 @@ class SmallField:
             if order == self.q - 1:
                 return a
         return 1  # q = 2
+
+    def row_tables(self, n: int) -> RowTables:
+        """Arithmetic on the rows of length n, coded as ints in [0, q**n)
+        with the first entry most significant; built on first use for each
+        n and kept. Each table of length q**n extends the one of length
+        q**(n-1) by a new leading entry, whose code weight is q**(n-1)."""
+        if n not in self._row_tables:
+            add, scale, low = [[0]], [[0]] * self.q, 1
+            for _ in range(n):
+                add = [
+                    [c * low + r for c in row for r in tail] for row in self._add for tail in add
+                ]
+                scale = [
+                    [m * low + r for m in mul_row for r in tail]
+                    for mul_row, tail in zip(self._mul, scale)
+                ]
+                low *= self.q
+            rows = list(itertools.product(range(self.q), repeat=n))
+            index = {row: code for code, row in enumerate(rows)}
+            self._row_tables[n] = RowTables(rows, index, add, scale)
+        return self._row_tables[n]
+
+
+class RowTables(NamedTuple):
+    """Row-coded vector arithmetic of one SmallField: `rows[code]` is the
+    row a code stands for, `index` the inverse map, `add[u][v]` the code of
+    the sum of rows u and v, and `scale[c][u]` that of the row u times the
+    field element c."""
+
+    rows: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+    add: list[list[int]]
+    scale: list[list[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +602,111 @@ def _element_order(field: SmallField, x, bound: int) -> int:
     return order
 
 
-def conjugacy_class(field: SmallField, x, conjugators):
-    """Orbit of x under conjugation by the given (g, g**-1) pairs, closed
-    by breadth-first search."""
-    orbit = {x}
-    frontier = [x]
+def _conjugation(tables: RowTables, g, ginv):
+    """The map z -> g**-1 z g on row-coded matrices. The rows of z g are
+    image[z_j], image being the table of right multiplication by g; row i
+    of the result sums them scaled by the entries of row i of g**-1, read
+    from their scale tables. Written out for n = 2 and n = 3, a plain loop
+    for any other n."""
+    A, S = tables.add, tables.scale
+    g_codes = [tables.index[row] for row in g]
+    image = []
+    for row in tables.rows:
+        acc = 0
+        for c, code in zip(row, g_codes):
+            acc = A[acc][S[c][code]]
+        image.append(acc)
+    scalars = [S[c] for row in ginv for c in row]
+    n = len(g)
+    if n == 3:
+        s00, s01, s02, s10, s11, s12, s20, s21, s22 = scalars
+
+        def conjugate(z):
+            z0, z1, z2 = z
+            w0, w1, w2 = image[z0], image[z1], image[z2]
+            return (
+                A[A[s00[w0]][s01[w1]]][s02[w2]],
+                A[A[s10[w0]][s11[w1]]][s12[w2]],
+                A[A[s20[w0]][s21[w1]]][s22[w2]],
+            )
+
+    elif n == 2:
+        s00, s01, s10, s11 = scalars
+
+        def conjugate(z):
+            z0, z1 = z
+            w0, w1 = image[z0], image[z1]
+            return (A[s00[w0]][s01[w1]], A[s10[w0]][s11[w1]])
+
+    else:
+        rows = [scalars[i * n : (i + 1) * n] for i in range(n)]
+
+        def conjugate(z):
+            w = [image[code] for code in z]
+            out = []
+            for row in rows:
+                acc = 0
+                for scale, code in zip(row, w):
+                    acc = A[acc][scale[code]]
+                out.append(acc)
+            return tuple(out)
+
+    return conjugate
+
+
+def _orbit_codes(conjugations, start):
+    """Close the row-coded matrix `start` under the conjugation maps by
+    breadth-first search."""
+    orbit = {start}
+    frontier = [start]
     while frontier:
         new = []
         for z in frontier:
-            for g, ginv in conjugators:
-                y = mat_mul(field, ginv, mat_mul(field, z, g))
+            for conjugate in conjugations:
+                y = conjugate(z)
                 if y not in orbit:
                     orbit.add(y)
                     new.append(y)
         frontier = new
     return orbit
+
+
+def conjugacy_class(field: SmallField, x, conjugators):
+    """Orbit of x under conjugation by the given (g, g**-1) pairs, closed
+    by breadth-first search. The search runs on row codes (see
+    SmallField.row_tables): each conjugator becomes one table of right
+    multiplication by g and the scale tables of the entries of g**-1, so
+    one conjugation is a few dozen list reads, not two matrix products."""
+    tables = field.row_tables(len(x))
+    orbit = _orbit_codes(
+        [_conjugation(tables, g, ginv) for g, ginv in conjugators],
+        tuple(map(tables.index.__getitem__, x)),
+    )
+    return {tuple(map(tables.rows.__getitem__, z)) for z in orbit}
+
+
+def _class_data(field: SmallField, n: int, elements, conjugators, order: int):
+    """Split `elements`, a union of classes under the conjugators, into
+    classes, taken in sorted order of their first member. Returns the
+    ClassDatum list, each with its least member as representative, and the
+    number of elements the classes cover. Codes sort like the matrices
+    they stand for, so the least code is the least matrix."""
+    tables = field.row_tables(n)
+    conjugations = [_conjugation(tables, g, ginv) for g, ginv in conjugators]
+    classes = []
+    seen: set = set()
+    for x in sorted(elements):
+        start = tuple(map(tables.index.__getitem__, x))
+        if start in seen:
+            continue
+        orbit = _orbit_codes(conjugations, start)
+        seen |= orbit
+        size = len(orbit)
+        if order % size:
+            raise RuntimeError("class size does not divide the group order")
+        rep = tuple(map(tables.rows.__getitem__, min(orbit)))
+        classes.append(ClassDatum(rep, size, order // size, _element_order(field, x, order)))
+    return classes, len(seen)
 
 
 def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
@@ -642,7 +781,6 @@ def gl_ell_class_census(
         )
     field = SmallField(q, modulus)
     nu = valuation(ell, order)
-    identity = mat_identity(n)
 
     if n == 1:
         units = [(x,) for x in range(1, q)]
@@ -669,21 +807,8 @@ def gl_ell_class_census(
         seeds = set(_sylow_subgroup(field, n, q, ell, nu, order, rng_seed))
         full_scan = False
 
-    classes = []
-    seen: set = set()
-    for x in sorted(seeds):
-        if x in seen:
-            continue
-        orbit = conjugacy_class(field, x, conjugators)
-        seen |= orbit
-        size = len(orbit)
-        if order % size:
-            raise RuntimeError("class size does not divide the group order")
-        rep = min(orbit)
-        classes.append(
-            ClassDatum(rep, size, order // size, _element_order(field, x, order))
-        )
-    if full_scan and len(seen) != len(seeds):
+    classes, covered = _class_data(field, n, seeds, conjugators, order)
+    if full_scan and covered != len(seeds):
         raise RuntimeError("class partition does not cover the scanned elements")
     classes.sort(key=lambda c: (c.size, c.representative))
     return MatrixGroupCensus("GL", n, q, ell, order, tuple(classes))
@@ -831,16 +956,7 @@ def sl2_gf4_census() -> tuple[ClassDatum, ...]:
     if len(elements) != 60:
         raise RuntimeError("SL_2(4) scan found the wrong number of matrices")
     conjugators = [(g, mat_inv(field, g)) for g in elements]
-    classes = []
-    seen: set = set()
-    for x in sorted(elements):
-        if x in seen:
-            continue
-        orbit = conjugacy_class(field, x, conjugators)
-        seen |= orbit
-        classes.append(
-            ClassDatum(min(orbit), len(orbit), 60 // len(orbit), _element_order(field, x, 60))
-        )
+    classes, _ = _class_data(field, 2, elements, conjugators, 60)
     classes.sort(key=lambda c: (c.element_order, c.size, c.representative))
     return tuple(classes)
 

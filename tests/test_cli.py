@@ -358,6 +358,25 @@ def test_oracle_multi(capsys):
     assert "enumeration vs recurrence PASS" in out
 
 
+@pytest.mark.parametrize("grid", ["0,5", "3,-1"])
+def test_oracle_multi_refuses_empty_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "oracle", "--multi", grid)
+    assert code == 1
+    assert out == ""
+    assert f"--multi {grid}: need S >= 1 and T >= 0" in err
+
+
+def test_oracle_multi_names_first_mismatch(capsys, monkeypatch):
+    real = cli.multipartition_count
+    bad = {(2, 3), (4, 1)}
+    monkeypatch.setattr(
+        cli, "multipartition_count", lambda s, t: real(s, t) + ((s, t) in bad)
+    )
+    code, out, _ = run_cli(capsys, "oracle", "--multi", "4,4")
+    assert code == 2
+    assert "enumeration vs recurrence FAIL first mismatch at s=2, t=3 (" in out
+
+
 def test_oracle_requires_work(capsys):
     code, _, err = run_cli(capsys, "oracle")
     assert code == 1

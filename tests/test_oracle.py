@@ -1,4 +1,7 @@
 import inspect
+import itertools
+import math
+import random
 import sys
 
 import pytest
@@ -83,6 +86,22 @@ def test_multipartition_enumeration_matches_recurrence():
     for s in range(1, oracle.ENUM_MAX_COLOURS + 1):
         for t in range(oracle.ENUM_MAX_SIZE + 1):
             assert oracle.multipartition_enumerate(s, t) == multipartition_count(s, t)
+
+
+def _composition_sum_reference(s, t):
+    # the sum over weak size compositions that multipartition_enumerate
+    # replaced, kept as a reference
+    counts = [len(list(oracle.partitions_of(size))) for size in range(t + 1)]
+    return sum(
+        math.prod(counts[size] for size in sizes) for sizes in oracle.compositions_into(t, s)
+    )
+
+
+def test_multipartition_enumerate_matches_composition_sum():
+    for s in range(1, oracle.ENUM_MAX_COLOURS + 1):
+        for t in range(oracle.ENUM_MAX_SIZE + 1):
+            expected = _composition_sum_reference(s, t)
+            assert oracle.multipartition_enumerate(s, t) == expected, (s, t)
 
 
 def test_multipartition_tuples_literal():
@@ -211,6 +230,123 @@ def test_mat_identity_is_built_once_per_n():
         identity = oracle.mat_identity(n)
         assert identity == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert oracle.mat_identity(n) is identity
+
+
+def _mat_mul_orbit(field, x, conjugators):
+    # the breadth-first search on matrix products that the row-coded
+    # search replaced, kept as a reference
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        new = []
+        for z in frontier:
+            for g, ginv in conjugators:
+                y = oracle.mat_mul(field, ginv, oracle.mat_mul(field, z, g))
+                if y not in orbit:
+                    orbit.add(y)
+                    new.append(y)
+        frontier = new
+    return orbit
+
+
+def _generator_pairs(field, n):
+    return [(g, oracle.mat_inv(field, g)) for g in oracle.gl_generators(field, n)]
+
+
+# GL_2 over every supported field (GF(8) under both moduli), GL_3(2),
+# GL_3(3), and the plain-loop sizes n = 1 and n = 4
+CONJUGACY_CASES = pytest.mark.parametrize(
+    "field, n",
+    [pytest.param(field, 2, id=f"{label}-n2") for label, field in FIELDS]
+    + [
+        pytest.param(oracle.SmallField(q), n, id=f"q{q}-n{n}")
+        for q, n in ((2, 3), (3, 3), (5, 1), (2, 4))
+    ],
+)
+
+
+@CONJUGACY_CASES
+def test_conjugacy_class_matches_mat_mul_orbits(field, n):
+    conjugators = _generator_pairs(field, n)
+    rng = random.Random(100 * n + field.q)
+    starts = [oracle.mat_identity(n)]
+    # GL_4(2) orbits run to thousands of matrices, so n = 4 takes fewer
+    for _ in range(8 if n < 4 else 2):
+        entries = [rng.randrange(field.q) for _ in range(n * n)]
+        starts.append(tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)))
+    for x in starts:
+        assert oracle.conjugacy_class(field, x, conjugators) == _mat_mul_orbit(
+            field, x, conjugators
+        ), x
+
+
+def test_conjugacy_class_under_sl2_gf4_conjugators():
+    field = oracle.SmallField(4)
+    elements = [
+        m
+        for m in (((a, b), (c, d)) for a, b, c, d in itertools.product(range(4), repeat=4))
+        if oracle.mat_det(field, m) == 1
+    ]
+    conjugators = [(g, oracle.mat_inv(field, g)) for g in elements]
+    for datum in oracle.sl2_gf4_census():
+        x = datum.representative
+        orbit = oracle.conjugacy_class(field, x, conjugators)
+        assert orbit == _mat_mul_orbit(field, x, conjugators)
+        assert len(orbit) == datum.size and min(orbit) == x
+
+
+def _element_order_reference(field, x, bound):
+    identity = oracle.mat_identity(len(x))
+    y, order = x, 1
+    while y != identity:
+        y = _mat_mul_reference(field, y, x)
+        order += 1
+        assert order <= bound, f"{x} has no order up to {bound}"
+    return order
+
+
+# the oracle battery's GL cases -> number of elements of ell-power order
+ORACLE_GL_TOTALS = {
+    (1, 4, 3): 3,
+    (2, 2, 3): 3,
+    (2, 4, 3): 63,
+    (2, 4, 5): 25,
+    (2, 5, 3): 21,
+    (2, 8, 3): 225,
+    (2, 9, 5): 145,
+    (3, 2, 7): 49,
+    (3, 3, 13): 1729,
+    (3, 4, 3): 14499,
+    (3, 5, 3): 15501,
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ORACLE_GL_TOTALS), ids=lambda c: "n{}-q{}-ell{}".format(*c)
+)
+def test_census_classes_match_mat_mul_orbits(case):
+    # every class is the mat_mul orbit of its representative, with that
+    # representative least; distinct representatives mean distinct orbits,
+    # and the orbits cover every element of ell-power order
+    n, q, ell = case
+    census = oracle.gl_ell_class_census(n, q, ell)
+    field = oracle.SmallField(q)
+    conjugators = _generator_pairs(field, n)
+    expected = []
+    for datum in census.classes:
+        orbit = _mat_mul_orbit(field, datum.representative, conjugators)
+        expected.append(
+            oracle.ClassDatum(
+                min(orbit),
+                len(orbit),
+                census.group_order // len(orbit),
+                _element_order_reference(field, datum.representative, census.group_order),
+            )
+        )
+    expected.sort(key=lambda c: (c.size, c.representative))
+    assert census.classes == tuple(expected)
+    assert len({c.representative for c in expected}) == len(expected)
+    assert census.ell_element_total == ORACLE_GL_TOTALS[case]
 
 
 def test_gl_order():
