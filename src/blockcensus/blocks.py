@@ -591,7 +591,8 @@ class SweepSpec:
             elif family == PSLELL:
                 for ell in self.ell_values:
                     for a in self.a_values:
-                        rows.append(dict(family=family, ell=ell, d=1, a=a, n=ell))
+                        for q in qs:
+                            rows.append(dict(family=family, ell=ell, d=1, a=a, n=ell, q=q))
         return rows
 
 
@@ -719,14 +720,13 @@ def _evaluate_row(
 
 def sweep(
     spec: SweepSpec,
-    jobs: int = 1,
     cache: CountCache | None = None,
     check_two_path: bool = True,
     timestamp: str | None = None,
 ) -> CensusReport:
     """Evaluate every row of the sweep, in SweepSpec.row_params order, and
-    assemble the report. jobs is ignored: the row work holds the GIL, so a
-    thread pool measured slower than running the rows serially."""
+    assemble the report. Rows run serially: the row work holds the GIL, so
+    a thread pool measured slower."""
     cache = cache or shared_cache
     results = [_evaluate_row(p, cache, check_two_path) for p in spec.row_params()]
     rows = [row for row, _ in results]

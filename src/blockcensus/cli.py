@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 usage or parameter error, 2 a verification
 check failed (a VIOLATION or INTERNAL_MISMATCH row, a mismatched table, a
-failed bound).
+failed bound, an oracle census that finds itself inconsistent).
 """
 
 from __future__ import annotations
@@ -195,20 +195,14 @@ def _cmd_census(args) -> int:
     fmt = _single_value(args.format, config, "format", "csv", str)
     if fmt not in ("csv", "json", "md"):
         raise CliError(f"unknown format {fmt!r}")
-    jobs = _single_value(args.jobs, config, "jobs", 1, int)
-    if jobs < 1:
+    if _single_value(args.jobs, config, "jobs", 1, int) < 1:
         raise CliError("jobs must be >= 1")
     timestamp = (
         None
         if args.strip_timestamp
         else datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-    report = blocks.sweep(
-        spec,
-        jobs=jobs,
-        check_two_path=not args.no_two_path,
-        timestamp=timestamp,
-    )
+    report = blocks.sweep(spec, check_two_path=not args.no_two_path, timestamp=timestamp)
     text = report.render(fmt)
     if args.out:
         Path(args.out).write_text(text)
@@ -391,6 +385,10 @@ def _cmd_oracle(args) -> int:
             census = oracle.gl_ell_class_census(n, q, ell)
         except ValueError as exc:
             raise CliError(f"--gl {text}: {exc}") from None
+        except RuntimeError as exc:
+            print(f"gl n={n} q={q} ell={ell}: census FAIL ({exc})")
+            all_ok = False
+            continue
         ok = oracle.census_matches_weight_vectors(census)
         all_ok = all_ok and ok
         elapsed = time.perf_counter() - start
@@ -406,6 +404,10 @@ def _cmd_oracle(args) -> int:
             count = oracle.gmpn_class_count(m, p, n)
         except ValueError as exc:
             raise CliError(f"--gmpn {text}: {exc}") from None
+        except RuntimeError as exc:
+            print(f"gmpn m={m} p={p} n={n}: census FAIL ({exc})")
+            all_ok = False
+            continue
         elapsed = time.perf_counter() - start
         if p in (1, 2) and (p == 1 or m % 2 == 0):
             formula = gmpn_irr_count(m, p, n)
@@ -529,6 +531,8 @@ def _check_boundary_chain() -> tuple[bool, str]:
 
 
 def _cmd_bounds(args) -> int:
+    if args.wmax < 1 or args.nmax < 0:
+        raise CliError("need --wmax >= 1 and --nmax >= 0")
     battery = [
         ("ell-power partition bound", lambda: _check_p_ell_bound(args.wmax)),
         ("value at twice the prime", _check_two_ell),

@@ -291,12 +291,6 @@ class CountCache:
                 tab.append(val)
             return tab[w]
 
-    def warm(self, colour_counts, max_t: int) -> None:
-        """Pre-size the tuple tables for a known sweep envelope."""
-        self.partition_count(max_t)
-        for s in colour_counts:
-            self.multipartition_count(s, max_t)
-
 
 def _online_row(
     row: list[int], sig: list[int], s: int, h: list[int], base: int, lo: int, hi: int

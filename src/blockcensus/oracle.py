@@ -1,7 +1,9 @@
 """Brute-force ground truth on objects small enough to enumerate: integer
 partitions listed explicitly, tiny finite fields with exhaustively checked
 axioms, conjugacy censuses of small matrix groups, and wreath-product
-reflection groups built element by element.
+reflection groups built element by element. Every census closes its
+groups and orbits through one breadth-first closure, _closure, and splits
+a set into orbits through one splitter, _orbits.
 
 Everything here is deliberately independent of the counting recurrences in
 blockcensus.counting and the series machinery in blockcensus.slots; tests
@@ -121,19 +123,10 @@ def compositions_into(total: int, parts: int):
         yield tuple(map(operator.sub, bars + end, (0,) + bars))
 
 
-class _PartitionLists:
-    """Materialized partition lists by size, shared by the enumerators."""
-
-    def __init__(self) -> None:
-        self._lists: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def of(self, t: int) -> tuple[tuple[int, ...], ...]:
-        if t not in self._lists:
-            self._lists[t] = tuple(partitions_of(t))
-        return self._lists[t]
-
-
-_partition_lists = _PartitionLists()
+@functools.lru_cache(maxsize=None)
+def _partition_list(t: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of t, materialized once and shared by the enumerators."""
+    return tuple(partitions_of(t))
 
 
 def multipartition_tuples(s: int, t: int):
@@ -142,7 +135,7 @@ def multipartition_tuples(s: int, t: int):
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
     for sizes in compositions_into(t, s):
-        pools = [_partition_lists.of(sz) for sz in sizes]
+        pools = [_partition_list(sz) for sz in sizes]
         yield from itertools.product(*pools)
 
 
@@ -162,10 +155,10 @@ def multipartition_enumerate(s: int, t: int) -> int:
             f"enumeration cap exceeded: s <= {ENUM_MAX_COLOURS} and "
             f"t <= {ENUM_MAX_SIZE}, got s={s}, t={t}"
         )
-    counts = [len(_partition_lists.of(sz)) for sz in range(t + 1)]
+    counts = [len(_partition_list(sz)) for sz in range(t + 1)]
     s_factorial = math.factorial(s)
     total = 0
-    for lam in _partition_lists.of(t):
+    for lam in _partition_list(t):
         if len(lam) > s:
             continue
         sizes = lam + (0,) * (s - len(lam))
@@ -515,23 +508,39 @@ def gl_order(n: int, q: int) -> int:
     return order
 
 
-def mulclose(field: SmallField, gens, cap: int):
-    """Close a generator list under multiplication; error past `cap`."""
-    identity = mat_identity(len(gens[0]))
-    seen = {identity}
-    frontier = [identity]
+def _closure(start, maps, cap: int) -> set:
+    """The least set holding `start` and closed under every map, found by
+    breadth-first search; error once it would pass `cap` elements."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = mat_mul(field, x, g)
+            for f in maps:
+                y = f(x)
                 if y not in seen:
                     if len(seen) >= cap:
-                        raise ValueError(f"mulclose cap {cap} exceeded")
+                        raise ValueError(f"closure cap {cap} exceeded")
                     seen.add(y)
                     new.append(y)
         frontier = new
     return seen
+
+
+def _orbits(starts, maps, cap: int):
+    """Yield the closure of each start that no earlier orbit holds."""
+    seen: set = set()
+    for x in starts:
+        if x not in seen:
+            orbit = _closure(x, maps, cap)
+            seen |= orbit
+            yield orbit
+
+
+def mulclose(field: SmallField, gens, cap: int):
+    """Close a generator list under multiplication; error past `cap`."""
+    maps = [lambda x, g=g: mat_mul(field, x, g) for g in gens]
+    return _closure(mat_identity(len(gens[0])), maps, cap)
 
 
 def gl_generators(field: SmallField, n: int):
@@ -578,16 +587,6 @@ class MatrixGroupCensus:
     @property
     def ell_element_total(self) -> int:
         return sum(c.size for c in self.classes)
-
-
-def _is_ell_power_element(field: SmallField, x, ell: int, nu: int) -> bool:
-    y = x
-    identity = mat_identity(len(x))
-    for _ in range(nu):
-        if y == identity:
-            return True
-        y = mat_pow(field, y, ell)
-    return y == identity
 
 
 def _element_order(field: SmallField, x, bound: int) -> int:
@@ -654,23 +653,6 @@ def _conjugation(tables: RowTables, g, ginv):
     return conjugate
 
 
-def _orbit_codes(conjugations, start):
-    """Close the row-coded matrix `start` under the conjugation maps by
-    breadth-first search."""
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for z in frontier:
-            for conjugate in conjugations:
-                y = conjugate(z)
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-        frontier = new
-    return orbit
-
-
 def conjugacy_class(field: SmallField, x, conjugators):
     """Orbit of x under conjugation by the given (g, g**-1) pairs, closed
     by breadth-first search. The search runs on row codes (see
@@ -678,9 +660,10 @@ def conjugacy_class(field: SmallField, x, conjugators):
     multiplication by g and the scale tables of the entries of g**-1, so
     one conjugation is a few dozen list reads, not two matrix products."""
     tables = field.row_tables(len(x))
-    orbit = _orbit_codes(
-        [_conjugation(tables, g, ginv) for g, ginv in conjugators],
+    orbit = _closure(
         tuple(map(tables.index.__getitem__, x)),
+        [_conjugation(tables, g, ginv) for g, ginv in conjugators],
+        field.q ** (len(x) * len(x)),  # no orbit outgrows the matrix space
     )
     return {tuple(map(tables.rows.__getitem__, z)) for z in orbit}
 
@@ -692,21 +675,18 @@ def _class_data(field: SmallField, n: int, elements, conjugators, order: int):
     number of elements the classes cover. Codes sort like the matrices
     they stand for, so the least code is the least matrix."""
     tables = field.row_tables(n)
+    starts = (tuple(map(tables.index.__getitem__, x)) for x in sorted(elements))
     conjugations = [_conjugation(tables, g, ginv) for g, ginv in conjugators]
     classes = []
-    seen: set = set()
-    for x in sorted(elements):
-        start = tuple(map(tables.index.__getitem__, x))
-        if start in seen:
-            continue
-        orbit = _orbit_codes(conjugations, start)
-        seen |= orbit
+    covered = 0
+    for orbit in _orbits(starts, conjugations, order):
         size = len(orbit)
+        covered += size
         if order % size:
             raise RuntimeError("class size does not divide the group order")
         rep = tuple(map(tables.rows.__getitem__, min(orbit)))
-        classes.append(ClassDatum(rep, size, order // size, _element_order(field, x, order)))
-    return classes, len(seen)
+        classes.append(ClassDatum(rep, size, order // size, _element_order(field, rep, order)))
+    return classes, covered
 
 
 def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
@@ -781,27 +761,17 @@ def gl_ell_class_census(
         )
     field = SmallField(q, modulus)
     nu = valuation(ell, order)
-
-    if n == 1:
-        units = [(x,) for x in range(1, q)]
-        classes = []
-        for (x,) in sorted(units):
-            mat = ((x,),)
-            if _is_ell_power_element(field, mat, ell, nu):
-                classes.append(
-                    ClassDatum(mat, 1, q - 1, _element_order(field, mat, q - 1))
-                )
-        return MatrixGroupCensus("GL", n, q, ell, order, tuple(classes))
-
     gens = gl_generators(field, n)
     conjugators = [(g, mat_inv(field, g)) for g in gens]
 
     if q ** (n * n) <= FULL_SCAN_LIMIT:
-        seeds = set()
-        for entries in itertools.product(range(q), repeat=n * n):
-            mat = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-            if mat_det(field, mat) != 0 and _is_ell_power_element(field, mat, ell, nu):
-                seeds.add(mat)
+        # an ell-element's order divides ell**nu, by Lagrange
+        ell_power, identity = ell**nu, mat_identity(n)
+        seeds = {
+            mat
+            for mat in itertools.product(field.row_tables(n).rows, repeat=n)
+            if mat_det(field, mat) != 0 and mat_pow(field, mat, ell_power) == identity
+        }
         full_scan = True
     else:
         seeds = set(_sylow_subgroup(field, n, q, ell, nu, order, rng_seed))
@@ -869,15 +839,14 @@ def gmpn_inv(m: int, g):
 
 
 def gmpn_order(m: int, p: int, n: int) -> int:
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return m**n * fact // p
+    return m**n * math.factorial(n) // p
 
 
 def gmpn_elements(m: int, p: int, n: int):
     """List the full group: pairs (permutation, exponent vector) with
     exponent sum divisible by p."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     if p < 1 or m % p != 0:
         raise ValueError("need p >= 1 dividing m")
     if n < 1:
@@ -913,31 +882,14 @@ def gmpn_class_count(m: int, p: int, n: int) -> int:
     """Number of conjugacy classes of G(m, p, n), found by partitioning an
     explicit element list under conjugation by generators."""
     elements = gmpn_elements(m, p, n)
-    gens = gmpn_generators(m, p, n)
-    pairs = [(g, gmpn_inv(m, g)) for g in gens]
-    seen = set()
-    count = 0
-    covered = 0
-    for x in elements:
-        if x in seen:
-            continue
-        count += 1
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for z in frontier:
-                for g, ginv in pairs:
-                    y = gmpn_mul(m, ginv, gmpn_mul(m, z, g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        seen |= orbit
-        covered += len(orbit)
-    if covered != len(elements):
+    conjugations = [
+        lambda z, g=g, ginv=gmpn_inv(m, g): gmpn_mul(m, ginv, gmpn_mul(m, z, g))
+        for g in gmpn_generators(m, p, n)
+    ]
+    sizes = [len(orbit) for orbit in _orbits(elements, conjugations, len(elements))]
+    if sum(sizes) != len(elements):
         raise RuntimeError("conjugacy classes do not cover the group")
-    return count
+    return len(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -948,11 +900,11 @@ def sl2_gf4_census() -> tuple[ClassDatum, ...]:
     """Conjugacy classes of SL_2(4) via a full 256-matrix scan, conjugating
     only within the group itself."""
     field = SmallField(4)
-    elements = []
-    for entries in itertools.product(range(4), repeat=4):
-        mat = (entries[0:2], entries[2:4])
-        if mat_det(field, mat) == 1:
-            elements.append(mat)
+    elements = [
+        mat
+        for mat in itertools.product(field.row_tables(2).rows, repeat=2)
+        if mat_det(field, mat) == 1
+    ]
     if len(elements) != 60:
         raise RuntimeError("SL_2(4) scan found the wrong number of matrices")
     conjugators = [(g, mat_inv(field, g)) for g in elements]

@@ -401,8 +401,8 @@ def test_sweep_jobs_deterministic():
         a_values=(1, 2),
         w_values=(0, 1, 2, 3),
     )
-    serial = sweep(spec, jobs=1)
-    parallel = sweep(spec, jobs=4)
+    serial = sweep(spec)
+    parallel = sweep(spec)
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json() == parallel.to_json()
 
@@ -413,7 +413,7 @@ def test_sweep_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     spec = SweepSpec(families=(blocks.GL, blocks.SP), ell_values=(3, 5), w_values=(0, 1, 2))
-    assert sweep(spec, jobs=4).to_csv() == sweep(spec, jobs=1).to_csv()
+    assert sweep(spec).to_csv() == sweep(spec).to_csv()
 
 
 def test_sweep_tests_primality_once_per_prime():
@@ -491,3 +491,23 @@ def test_sweep_psl_rows_fix_g_and_m():
         (1, 1, 6),
         (2, 1, 13),
     ]
+
+
+def test_sweep_psl_rows_check_the_witnessed_profile():
+    # 5 divides 4 + 1, so q = 4 witnesses d = 2 and contradicts the d = 1
+    # that PSLell rows are keyed at, for PSLell as for SLrange; q = 11
+    # witnesses d = 1, a = 1 and both rows evaluate
+    spec = SweepSpec(
+        families=(blocks.PSLELL, blocks.SLRANGE),
+        ell_values=(5,),
+        n_values=(5,),
+        q_values=(4, 11),
+    )
+    report = sweep(spec)
+    verdicts = [(r["family"], r["verdict"]) for r in report.rows]
+    assert verdicts[0] == (blocks.PSLELL, "ERROR")
+    assert verdicts[1][0] == blocks.PSLELL and verdicts[1][1] != "ERROR"
+    assert verdicts[2] == (blocks.SLRANGE, "ERROR")
+    assert verdicts[3][0] == blocks.SLRANGE and verdicts[3][1] != "ERROR"
+    assert len(report.errors) == 2
+    assert all("derived (d=2, a=1)" in message for message in report.errors)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import blockcensus
-from blockcensus import blocks, cli, tables
+from blockcensus import blocks, cli, oracle, tables
 
 DATA_DIR = Path(tables.__file__).parent / "data"
 
@@ -352,6 +352,38 @@ def test_oracle_gmpn_no_formula_branch(capsys):
     assert "formula" not in out
 
 
+@pytest.mark.parametrize("group", ["0,1,1", "-2,1,2"])
+def test_oracle_gmpn_refuses_empty_colour_count(capsys, group):
+    code, out, err = run_cli(capsys, "oracle", f"--gmpn={group}")
+    assert code == 1
+    assert out == ""
+    assert f"error: --gmpn {group}: need m >= 1" in err
+
+
+def test_oracle_census_inconsistency_is_a_failed_check(capsys, monkeypatch):
+    # an internal inconsistency inside a census is a failed verification,
+    # reported per case, not a usage error
+    def broken(*args):
+        raise RuntimeError("class size does not divide the group order")
+
+    monkeypatch.setattr(oracle, "_class_data", broken)
+    code, out, err = run_cli(capsys, "oracle", "--gl", "2,4,3", "--gmpn", "2,2,2")
+    assert code == 2
+    assert (
+        "gl n=2 q=4 ell=3: census FAIL (class size does not divide the group order)"
+        in out
+    )
+    assert "gmpn m=2 p=2 n=2: 4 classes, formula 4, PASS" in out
+    assert err == ""
+
+
+def test_oracle_gmpn_coverage_failure_is_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_orbits", lambda starts, maps, cap: iter(()))
+    code, out, _ = run_cli(capsys, "oracle", "--gmpn", "2,2,2")
+    assert code == 2
+    assert "gmpn m=2 p=2 n=2: census FAIL (conjugacy classes do not cover the group)" in out
+
+
 def test_oracle_multi(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--multi", "4,8")
     assert code == 0
@@ -397,6 +429,16 @@ def test_bounds_battery(capsys):
     assert all(": PASS (" in l for l in lines)
     assert any(l.startswith("pair-count growth") for l in lines)
     assert any(l.startswith("boundary chain") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "ranges", [("--wmax", "-5", "--nmax", "-1"), ("--wmax", "0"), ("--nmax", "-1")]
+)
+def test_bounds_refuses_empty_ranges(capsys, ranges):
+    code, out, err = run_cli(capsys, "bounds", *ranges)
+    assert code == 1
+    assert out == ""
+    assert "need --wmax >= 1 and --nmax >= 0" in err
 
 
 def _package_env():

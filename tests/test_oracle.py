@@ -365,6 +365,18 @@ def test_mulclose_generates_gl2_gf2():
         oracle.mulclose(field, oracle.gl_generators(field, 2), cap=5)
 
 
+def test_closure_and_orbits():
+    # the residues mod 12 under x -> x + 4 and x -> 2x
+    maps = [lambda x: (x + 4) % 12, lambda x: 2 * x % 12]
+    assert oracle._closure(1, maps, 12) == {0, 1, 2, 4, 5, 6, 8, 9, 10}
+    assert oracle._closure(1, maps, 9) == {0, 1, 2, 4, 5, 6, 8, 9, 10}
+    with pytest.raises(ValueError, match="cap 8 exceeded"):
+        oracle._closure(1, maps, 8)
+    shift = [lambda x: (x + 4) % 12]
+    orbits = list(oracle._orbits([0, 4, 1, 5, 3, 2], shift, 3))
+    assert orbits == [{0, 4, 8}, {1, 5, 9}, {3, 7, 11}, {2, 6, 10}]
+
+
 # (n, q, ell) -> (sorted centralizer orders, ell-power element count)
 CENSUS_EXPECTED = {
     (2, 2, 3): ([3, 6], 3),
@@ -484,6 +496,12 @@ def test_gmpn_group_structure():
 def test_gmpn_cap():
     with pytest.raises(ValueError, match="enumeration cap exceeded"):
         oracle.gmpn_elements(10, 1, 6)
+
+
+@pytest.mark.parametrize("m, p, n", [(0, 1, 1), (-2, 1, 2), (-2, 2, 1)])
+def test_gmpn_elements_refuse_empty_colour_count(m, p, n):
+    with pytest.raises(ValueError, match="need m >= 1"):
+        oracle.gmpn_elements(m, p, n)
 
 
 def test_sl2_gf4_census():

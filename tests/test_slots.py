@@ -13,7 +13,6 @@ from blockcensus.counting import (
     is_prime,
     multipartition_count,
     partition_count,
-    shared_cache,
 )
 
 
@@ -435,7 +434,3 @@ def test_two_path_equality_large_weight_property(family, d, a, w):
     proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], 3, d, a, w, cache)
     assert closed == proof
 
-
-def test_shared_cache_survives_warm():
-    shared_cache.warm([2, 4], 10)
-    assert multipartition_count(4, 10) == shared_cache.multipartition_count(4, 10)
