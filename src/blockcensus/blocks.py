@@ -232,8 +232,8 @@ class BlockQuery:
             raise ValueError(f"unknown family {self.family!r}")
         if self.g < 0 or self.m < 0:
             raise ValueError("g and m must be >= 0")
-        if self.w is not None and self.w < 0:
-            raise ValueError("w must be >= 0")
+        if self.w is not None:
+            _require_weight(self.w)
         if self.n is not None and self.n < 1:
             raise ValueError("n must be >= 1")
         if self.w is not None and self.n is not None:
@@ -245,6 +245,11 @@ class BlockQuery:
         if self.family in (SOEVEN_PLUS, SOEVEN_MINUS, GOEVEN_PLUS, GOEVEN_MINUS):
             if self.n is not None and self.n < 4:
                 raise ValueError("even orthogonal families need n >= 4")
+
+
+def _require_weight(w: int) -> None:
+    if w < 0:
+        raise ValueError("w must be >= 0")
 
 
 def _require_odd(profile: EllProfile) -> None:
@@ -274,11 +279,17 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
         raise ValueError("weight-addressed query needs w")
     profile = query.profile
     _require_odd(profile)
+    head, tail = _colour_counts(query.family, profile)
+    return composition_sum(profile.ell, head, tail, query.w, cache)
+
+
+def _colour_counts(family: str, profile: EllProfile) -> tuple[int, int]:
+    """The head and tail colour counts of k_unipotent_block."""
     ell, a = profile.ell, profile.a
-    denom = slots.slot_denominator(WEIGHT_FAMILIES[query.family], profile.d)
+    denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
     head = denom + exact_div(ell**a - 1, denom)
     tail = exact_div(ell**a - ell ** (a - 1), denom)
-    return composition_sum(ell, head, tail, query.w, cache)
+    return head, tail
 
 
 def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> int:
@@ -349,16 +360,6 @@ def is_abelian_defect(w: int, ell: int) -> bool:
     """Whether the weight-w wreath-shaped defect group is abelian: true
     exactly when w < ell, the same condition as val_factorial(ell, w) = 0."""
     return w < ell
-
-
-def _abelian_flag(family: str, query: BlockQuery) -> bool:
-    if family in WEIGHT_FAMILIES:
-        return is_abelian_defect(query.w, query.profile.ell)
-    if family in (SLRANGE, SURANGE):
-        return query.n < query.profile.ell
-    # Simple quotient at n = ell: the quotient of the wreath-point defect
-    # group by the centre is abelian only in the very smallest case.
-    return (query.profile.ell, query.profile.a) == (3, 1)
 
 
 def verdict(k_B: int, exactness: str, defect_exp: int, abelian: bool, ell: int) -> str:
@@ -439,6 +440,52 @@ def _check_profile_consistency(family: str, profile: EllProfile) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _WeightGroup:
+    """What every weight of one weight-family block shares: the checked
+    profile and the two colour counts."""
+
+    family: str
+    profile: EllProfile
+    head: int
+    tail: int
+
+
+def _weight_group(family: str, profile: EllProfile) -> _WeightGroup:
+    """The per-group step of block_invariants for a weight family: the
+    checks and colour counts that do not depend on w."""
+    _require_odd(profile)
+    _check_profile_consistency(family, profile)
+    head, tail = _colour_counts(family, profile)
+    return _WeightGroup(family, profile, head, tail)
+
+
+def _weight_step(
+    group: _WeightGroup, w: int, cache: CountCache, check_two_path: bool
+) -> tuple[int, int, bool, str, bool]:
+    """The per-weight step of block_invariants for a weight family at
+    w >= 0: (k_B, defect exponent, abelian, verdict, two_path_checked)."""
+    family, profile = group.family, group.profile
+    ell, a = profile.ell, profile.a
+    k = composition_sum(ell, group.head, group.tail, w, cache)
+    two_path_checked = False
+    if check_two_path:
+        other = slots.block_count_proof_path(
+            WEIGHT_FAMILIES[family], ell, profile.d, a, w, cache
+        )
+        if other != k:
+            raise ArithmeticError(
+                f"two-path mismatch for {family} "
+                f"(ell={ell}, d={profile.d}, a={a}, w={w}): "
+                f"closed form {k}, slot calculus {other}"
+            )
+        two_path_checked = True
+    exp = defect_exponent(family, ell, a, w=w)
+    abelian = is_abelian_defect(w, ell)
+    result = verdict(k, exactness_for(family), exp, abelian, ell)
+    return k, exp, abelian, result, two_path_checked
+
+
 def block_invariants(
     query: BlockQuery,
     cache: CountCache | None = None,
@@ -453,32 +500,30 @@ def block_invariants(
     cache = cache or shared_cache
     family = query.family
     profile = query.profile
+    if family in WEIGHT_FAMILIES:
+        group = _weight_group(family, profile)
+        if query.w is None:
+            raise ValueError("weight-addressed query needs w")
+        k, exp, abelian, result, two_path_checked = _weight_step(
+            group, query.w, cache, check_two_path
+        )
+        return BlockInvariants(
+            k, exactness_for(family), exp, abelian, result, two_path_checked
+        )
     _require_odd(profile)
     _check_profile_consistency(family, profile)
-    two_path_checked = False
-    if family in WEIGHT_FAMILIES:
-        k = k_unipotent_block(query, cache)
-        if check_two_path:
-            other = slots.block_count_proof_path(
-                WEIGHT_FAMILIES[family], profile.ell, profile.d, profile.a, query.w, cache
-            )
-            if other != k:
-                raise ArithmeticError(
-                    f"two-path mismatch for {family} "
-                    f"(ell={profile.ell}, d={profile.d}, a={profile.a}, w={query.w}): "
-                    f"closed form {k}, slot calculus {other}"
-                )
-            two_path_checked = True
-        exp = defect_exponent(family, profile.ell, profile.a, w=query.w)
-    elif family in (SLRANGE, SURANGE):
+    if family in (SLRANGE, SURANGE):
         k = k_principal_slrange(query, cache)
         exp = defect_exponent(family, profile.ell, profile.a, n=query.n, g=query.g)
+        abelian = query.n < profile.ell
     elif family == PSLELL:
         k = k_principal_pslell(profile.ell, profile.a, cache)
         exp = defect_exponent(family, profile.ell, profile.a)
+        # Simple quotient at n = ell: the quotient of the wreath-point defect
+        # group by the centre is abelian only in the very smallest case.
+        abelian = (profile.ell, profile.a) == (3, 1)
     else:
         raise ValueError(f"unknown family {family!r}")
-    abelian = _abelian_flag(family, query)
     exactness = exactness_for(family)
     return BlockInvariants(
         k_B=k,
@@ -486,7 +531,6 @@ def block_invariants(
         defect_exponent=exp,
         abelian_defect=abelian,
         verdict=verdict(k, exactness, exp, abelian, profile.ell),
-        two_path_checked=two_path_checked,
     )
 
 
@@ -614,12 +658,20 @@ REPORT_COLUMNS = (
 )
 
 
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _row_cells(row: dict) -> list[str]:
+    """The text of a row's REPORT_COLUMNS cells: None is empty, a bool is
+    lowercase, anything else is its str. A bool is tested by identity,
+    since 1 == True."""
+    return [
+        ""
+        if value is None
+        else "true"
+        if value is True
+        else "false"
+        if value is False
+        else str(value)
+        for value in map(row.get, REPORT_COLUMNS)
+    ]
 
 
 @dataclass
@@ -629,10 +681,7 @@ class CensusReport:
     errors: list[str] = field(default_factory=list)
 
     def row_strings(self) -> list[dict]:
-        return [
-            {col: _cell_text(row.get(col)) for col in REPORT_COLUMNS}
-            for row in self.rows
-        ]
+        return [dict(zip(REPORT_COLUMNS, _row_cells(row))) for row in self.rows]
 
     def has_violation(self) -> bool:
         return any(row.get("verdict") == VIOLATION for row in self.rows)
@@ -643,8 +692,7 @@ class CensusReport:
     def to_csv(self) -> str:
         lines = [f"# {key}: {self.metadata[key]}" for key in self.metadata]
         lines.append(",".join(REPORT_COLUMNS))
-        for row in self.row_strings():
-            lines.append(",".join(row[col] for col in REPORT_COLUMNS))
+        lines.extend(",".join(_row_cells(row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -656,8 +704,7 @@ class CensusReport:
         lines.append("")
         lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
         lines.append("|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
-        for row in self.row_strings():
-            lines.append("| " + " | ".join(row[col] for col in REPORT_COLUMNS) + " |")
+        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -675,9 +722,87 @@ def spec_hash(spec: SweepSpec) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _evaluate_row(
+def _row_failure(exc: Exception) -> tuple[str, str]:
+    """Verdict and error text of a row whose evaluation raised exc: an
+    ArithmeticError is a fault in the program, anything else a parameter
+    combination that does not make a block."""
+    if isinstance(exc, ArithmeticError):
+        return INTERNAL_MISMATCH, f"internal mismatch: {exc}"
+    return ERROR, str(exc)
+
+
+def _sweep_group(
+    family: str, ell: int, d: int, a: int, q: int | None
+) -> tuple[tuple[str, str] | None, tuple[str, str] | None, _WeightGroup | None]:
+    """The per-group step for the sweep rows of one weight family at
+    (ell, d, a, q), as (profile failure, setup failure, group). A row meets
+    them in the order block_invariants does: the profile, then the row's
+    own w, then the _weight_group checks."""
+    try:
+        profile = EllProfile(ell, d, a, q)
+    except Exception as exc:
+        return _row_failure(exc), None, None
+    try:
+        return None, None, _weight_group(family, profile)
+    except Exception as exc:
+        return None, _row_failure(exc), None
+
+
+def _weight_row(
+    param: dict, groups: dict, cache: CountCache, check_two_path: bool
+) -> tuple[dict, str | None]:
+    """One weight-family sweep row and its error message, if any. groups
+    maps (family, ell, d, a, q) to its _sweep_group result, filled on the
+    group's first row."""
+    family, w = param["family"], param["w"]
+    key = (family, param["ell"], param["d"], param["a"], param["q"])
+    if key not in groups:
+        groups[key] = _sweep_group(*key)
+    failure, setup_failure, group = groups[key]
+    if failure is None:
+        try:
+            _require_weight(w)
+        except ValueError as exc:
+            failure = _row_failure(exc)
+        else:
+            failure = setup_failure
+    if failure is None:
+        try:
+            k, exp, abelian, result, two_path_checked = _weight_step(
+                group, w, cache, check_two_path
+            )
+        except Exception as exc:
+            failure = _row_failure(exc)
+    if failure is None:
+        exactness, message = exactness_for(family), None
+    else:
+        k = exactness = exp = abelian = two_path_checked = None
+        result, text = failure
+        message = f"{family} row {param}: {text}"
+    row = {
+        "family": family,
+        "n": None,
+        "ell": param["ell"],
+        "d": param["d"],
+        "a": param["a"],
+        "w": w,
+        "g": None,
+        "m": None,
+        "k_B": k,
+        "exactness": exactness,
+        "defect_exponent": exp,
+        "abelian": abelian,
+        "verdict": result,
+        "two_path_checked": two_path_checked,
+    }
+    return row, message
+
+
+def _principal_row(
     param: dict, cache: CountCache, check_two_path: bool
 ) -> tuple[dict, str | None]:
+    """One special-linear-range or PSLell sweep row and its error message,
+    if any, from one BlockQuery and one block_invariants call."""
     family = param["family"]
     row = {col: None for col in REPORT_COLUMNS}
     row.update(
@@ -685,28 +810,24 @@ def _evaluate_row(
         ell=param.get("ell"),
         d=param.get("d"),
         a=param.get("a"),
-        w=param.get("w"),
         n=param.get("n"),
         g=param.get("g"),
     )
     try:
         profile = EllProfile(param["ell"], param["d"], param["a"], param.get("q"))
-        if family in WEIGHT_FAMILIES:
-            query = BlockQuery(family, profile, w=param["w"], n=param.get("n"))
-        elif family in (SLRANGE, SURANGE):
-            m = min(valuation(profile.ell, param["n"]), profile.a)
-            query = BlockQuery(family, profile, n=param["n"], g=param["g"], m=m)
-            row.update(m=m)
-        else:
+        if family == PSLELL:
             query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
             row.update(g=profile.a, m=1)
+        else:
+            n = param["n"]
+            # BlockQuery refuses n < 1; valuation(ell, 0) is undefined
+            m = min(valuation(profile.ell, n), profile.a) if n >= 1 else 0
+            query = BlockQuery(family, profile, n=n, g=param["g"], m=m)
+            row.update(m=m)
         inv = block_invariants(query, cache, check_two_path)
-    except ArithmeticError as exc:
-        row.update(verdict=INTERNAL_MISMATCH)
-        return row, f"{family} row {param}: internal mismatch: {exc}"
     except Exception as exc:
-        row.update(verdict=ERROR)
-        return row, f"{family} row {param}: {exc}"
+        row["verdict"], text = _row_failure(exc)
+        return row, f"{family} row {param}: {text}"
     row.update(
         k_B=inv.k_B,
         exactness=inv.exactness,
@@ -725,12 +846,26 @@ def sweep(
     timestamp: str | None = None,
 ) -> CensusReport:
     """Evaluate every row of the sweep, in SweepSpec.row_params order, and
-    assemble the report. Rows run serially: the row work holds the GIL, so
-    a thread pool measured slower."""
+    assemble the report.
+
+    The rows of a weight family that share (ell, d, a, q) differ only in w:
+    the profile checks and colour counts of block_invariants run once for
+    each such group, and its per-weight step once per row, so every row
+    still gets both count paths and the same verdict, error text and
+    report bytes as a block_invariants call of its own. Rows run serially:
+    the row work holds the GIL, so a thread pool measured slower."""
     cache = cache or shared_cache
-    results = [_evaluate_row(p, cache, check_two_path) for p in spec.row_params()]
-    rows = [row for row, _ in results]
-    errors = [msg for _, msg in results if msg]
+    groups: dict = {}
+    rows = []
+    errors = []
+    for param in spec.row_params():
+        if param["family"] in WEIGHT_FAMILIES:
+            row, message = _weight_row(param, groups, cache, check_two_path)
+        else:
+            row, message = _principal_row(param, cache, check_two_path)
+        rows.append(row)
+        if message:
+            errors.append(message)
     metadata = {
         "tool": "blockcensus",
         "version": __version__,

@@ -27,6 +27,7 @@ by its own test rather than by the two-path check.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,12 +167,15 @@ def slot_denominator(family: str, d: int) -> int:
     return d if family in (LINEAR, UNITARY) else 2 * dprime_of(d)
 
 
+@functools.lru_cache(maxsize=None)
 def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
     """Construct the slot inventory for one family and ell-adic profile.
 
     d is the relevant cyclotomic order parameter (for the unitary family it
     should already be the twisted one). Requires odd prime ell, a >= 1 and
-    d | ell - 1 so that every slot-count division is exact.
+    d | ell - 1 so that every slot-count division is exact. Memoised: the
+    inventory is frozen and depends on the arguments alone, and a census
+    asks for the same one at every weight.
     """
     denom = slot_denominator(family, d)  # rejects an unknown family
     if not is_prime(ell):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcensus import blocks
+from blockcensus import blocks, slots
 from blockcensus.blocks import (
     BlockQuery,
     EllProfile,
@@ -511,3 +511,194 @@ def test_sweep_psl_rows_check_the_witnessed_profile():
     assert verdicts[3][0] == blocks.SLRANGE and verdicts[3][1] != "ERROR"
     assert len(report.errors) == 2
     assert all("derived (d=2, a=1)" in message for message in report.errors)
+
+
+def _reference_row(param, cache):
+    # one BlockQuery and one block_invariants call per row, the route the
+    # sweep took before its rows shared the per-group step
+    family = param["family"]
+    row = {col: None for col in blocks.REPORT_COLUMNS}
+    row.update(
+        family=family,
+        ell=param.get("ell"),
+        d=param.get("d"),
+        a=param.get("a"),
+        w=param.get("w"),
+        n=param.get("n"),
+        g=param.get("g"),
+    )
+    try:
+        profile = EllProfile(param["ell"], param["d"], param["a"], param.get("q"))
+        if family in blocks.WEIGHT_FAMILIES:
+            query = BlockQuery(family, profile, w=param["w"], n=param.get("n"))
+        elif family in (blocks.SLRANGE, blocks.SURANGE):
+            n = param["n"]
+            m = min(valuation(profile.ell, n), profile.a) if n >= 1 else 0
+            query = BlockQuery(family, profile, n=n, g=param["g"], m=m)
+            row.update(m=m)
+        else:
+            query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
+            row.update(g=profile.a, m=1)
+        inv = block_invariants(query, cache)
+    except ArithmeticError as exc:
+        row.update(verdict=blocks.INTERNAL_MISMATCH)
+        return row, f"{family} row {param}: internal mismatch: {exc}"
+    except Exception as exc:
+        row.update(verdict=blocks.ERROR)
+        return row, f"{family} row {param}: {exc}"
+    row.update(
+        k_B=inv.k_B,
+        exactness=inv.exactness,
+        defect_exponent=inv.defect_exponent,
+        abelian=inv.abelian_defect,
+        verdict=inv.verdict,
+        two_path_checked=inv.two_path_checked,
+    )
+    return row, None
+
+
+# Every family over q witnesses that pass and fail the consistency check
+# (and q = 3, 7 divisible by ell), d not dividing ell - 1, a = 0, the
+# non-prime ell = 9, w = -1 in groups whose q is bad, a repeated w, and
+# ranks n = -3 and 0; then synthetic profiles at every divisor d.
+_MIXED_SPECS = (
+    SweepSpec(
+        families=blocks.FAMILIES,
+        ell_values=(3, 5, 7, 9),
+        d_values=(1, 2, 3, 4),
+        a_values=(0, 1, 2),
+        w_values=(-1, 0, 2, 2, 5),
+        n_values=(-3, 0, 1, 3),
+        g_values=(0, 1, 2),
+        q_values=(2, 3, 4, 7, 11),
+    ),
+    SweepSpec(
+        families=blocks.FAMILIES,
+        ell_values=(3, 5, 7),
+        a_values=(1, 2),
+        w_values=(0, 1, 1, 4),
+        n_values=(1, 3),
+    ),
+)
+
+
+def _reference_sweep(spec, cache):
+    results = [_reference_row(param, cache) for param in spec.row_params()]
+    return [row for row, _ in results], [message for _, message in results if message]
+
+
+def _row_items(rows):
+    return [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "spec, verdicts",
+    [
+        (_MIXED_SPECS[0], {blocks.ERROR, blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}),
+        (_MIXED_SPECS[1], {blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}),
+    ],
+    ids=["witnessed", "synthetic"],
+)
+def test_sweep_matches_a_per_row_reference(spec, verdicts):
+    cache = CountCache()
+    report = sweep(spec, cache)
+    rows, errors = _reference_sweep(spec, cache)
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.errors == errors
+    assert verdicts <= {row["verdict"] for row in rows}
+
+
+def test_sweep_mismatch_in_one_ell_fails_only_its_rows(monkeypatch):
+    spec = _MIXED_SPECS[1]
+    honest = sweep(spec, CountCache())
+    real = slots.block_count_proof_path
+
+    def off_by_one_at_five(family, ell, *args, **kwargs):
+        return real(family, ell, *args, **kwargs) + (ell == 5)
+
+    monkeypatch.setattr(slots, "block_count_proof_path", off_by_one_at_five)
+    cache = CountCache()
+    report = sweep(spec, cache)
+    rows, errors = _reference_sweep(spec, cache)
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.errors == errors
+    hit = [
+        row["family"] in blocks.WEIGHT_FAMILIES and row["ell"] == 5
+        for row in honest.rows
+    ]
+    assert any(hit)
+    for was, now, in_hit in zip(honest.rows, report.rows, hit):
+        if in_hit:
+            assert now["verdict"] == blocks.INTERNAL_MISMATCH
+            assert now["k_B"] is None
+        else:
+            assert now == was
+    assert len(report.errors) == sum(hit)
+    assert all("two-path mismatch" in message for message in report.errors)
+
+
+def _reference_cell_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _reference_renderings(report):
+    # the renderers as they were when every format went through one string
+    # dict per row
+    cols = blocks.REPORT_COLUMNS
+    strings = [{col: _reference_cell_text(row.get(col)) for col in cols} for row in report.rows]
+    csv_lines = [f"# {key}: {report.metadata[key]}" for key in report.metadata]
+    csv_lines.append(",".join(cols))
+    for row in strings:
+        csv_lines.append(",".join(row[col] for col in cols))
+    md_lines = [f"- {key}: {report.metadata[key]}" for key in report.metadata]
+    md_lines.append("")
+    md_lines.append("| " + " | ".join(cols) + " |")
+    md_lines.append("|" + "|".join(" --- " for _ in cols) + "|")
+    for row in strings:
+        md_lines.append("| " + " | ".join(row[col] for col in cols) + " |")
+    payload = {"metadata": dict(report.metadata), "rows": strings}
+    return {
+        "strings": strings,
+        "csv": "\n".join(csv_lines) + "\n",
+        "md": "\n".join(md_lines) + "\n",
+        "json": json.dumps(payload, indent=2) + "\n",
+    }
+
+
+def test_renderers_match_the_row_string_reference():
+    big = 10**99 + 7
+    rows = [
+        dict.fromkeys(blocks.REPORT_COLUMNS),
+        {**dict.fromkeys(blocks.REPORT_COLUMNS), "family": "GL", "verdict": blocks.ERROR},
+        {
+            "family": "GL", "n": None, "ell": 3, "d": 1, "a": 1, "w": 0, "g": None,
+            "m": None, "k_B": 1, "exactness": blocks.EXACT, "defect_exponent": 0,
+            "abelian": True, "verdict": blocks.HOLDS_EQUALITY_ABELIAN,
+            "two_path_checked": False,
+        },
+        {
+            "family": "SLrange", "n": 1, "ell": 5, "d": 1, "a": 0, "w": None, "g": 0,
+            "m": 0, "k_B": big, "exactness": blocks.UPPER_BOUND, "defect_exponent": 1,
+            "abelian": False, "verdict": blocks.INTERNAL_MISMATCH,
+            "two_path_checked": True,
+        },
+        # a row missing columns, and one with them in another order
+        {"verdict": blocks.ERROR, "k_B": 0},
+        {col: 1 for col in reversed(blocks.REPORT_COLUMNS)},
+    ]
+    report = blocks.CensusReport(
+        rows=rows,
+        metadata={"tool": "blockcensus", "version": "0", "spec_hash": "ab"},
+        errors=["GL row {}: w must be >= 0"],
+    )
+    expected = _reference_renderings(report)
+    assert report.row_strings() == expected["strings"]
+    assert report.to_csv() == report.render("csv") == expected["csv"]
+    assert report.to_markdown() == report.render("md") == expected["md"]
+    assert report.to_json() == report.render("json") == expected["json"]
+    assert str(big) in report.to_csv()
+    assert report.to_csv().splitlines()[-1] == ",".join(["1"] * len(blocks.REPORT_COLUMNS))

@@ -164,6 +164,21 @@ def test_census_refuses_negative_q_for_unitary_and_linear_rows(capsys):
         assert line.endswith("q must be >= 2")
 
 
+def test_census_refuses_rank_zero_like_a_negative_rank(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--family", "SLrange", "--ell", "3", "--n=-3,0",
+        "--strip-timestamp",
+    )
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines() if line.endswith(",ERROR,")] == [
+        "-3",
+        "0",
+    ]
+    errors = err.splitlines()
+    assert len(errors) == 2
+    assert all(line.endswith(": n must be >= 1") for line in errors)
+
+
 def test_census_error_rows_go_to_stderr(capsys):
     # ell divides q, so every row fails to derive a profile; that is a
     # reporting problem, not a conjecture violation
