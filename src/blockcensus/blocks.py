@@ -8,6 +8,7 @@ ranges into a deterministic report.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -218,7 +219,8 @@ def ennola_profile(q: int, ell: int) -> EllProfile:
 class BlockQuery:
     """Addresses one block: a family tag, an ell-adic profile, and either a
     weight w (weight-addressed families) or a rank n with the index data
-    (g, m) for the principal blocks of the special linear range."""
+    (g, m) for the principal blocks of the special linear range. The index
+    valuation g is at most the profile's a."""
 
     family: str
     profile: EllProfile
@@ -245,6 +247,10 @@ class BlockQuery:
         if self.family in (SOEVEN_PLUS, SOEVEN_MINUS, GOEVEN_PLUS, GOEVEN_MINUS):
             if self.n is not None and self.n < 4:
                 raise ValueError("even orthogonal families need n >= 4")
+        # ell**g is the part of the index that the closing division of
+        # k_principal_slrange removes, and a bounds its valuation
+        if self.g > self.profile.a:
+            raise ValueError("g must be <= a")
 
 
 def _require_weight(w: int) -> None:
@@ -298,7 +304,8 @@ def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> i
     valuation g and centre valuation m, in the fully split case d = 1.
 
     Terms at i >= 1 exist only when ell**i divides n; the closing division
-    by ell**g must be exact and failure signals a transcription bug.
+    by ell**g must be exact and failure signals a transcription bug
+    (BlockQuery refuses g > a, which made it inexact).
     """
     if query.family not in (SLRANGE, SURANGE):
         raise ValueError(f"family {query.family!r} is not in the special linear range")
@@ -839,33 +846,53 @@ def _principal_row(
     return row, None
 
 
+def _run_key(param: dict) -> tuple | None:
+    """The (family, ell, d, a) run of a weight-family row, None otherwise:
+    row_params lists each run's rows consecutively, over w and then q."""
+    if param["family"] not in WEIGHT_FAMILIES:
+        return None
+    return param["family"], param["ell"], param["d"], param["a"]
+
+
 def sweep(
     spec: SweepSpec,
     cache: CountCache | None = None,
     check_two_path: bool = True,
     timestamp: str | None = None,
 ) -> CensusReport:
-    """Evaluate every row of the sweep, in SweepSpec.row_params order, and
-    assemble the report.
+    """Evaluate every row of the sweep and assemble the report, rows and
+    errors in SweepSpec.row_params order.
 
     The rows of a weight family that share (ell, d, a, q) differ only in w:
     the profile checks and colour counts of block_invariants run once for
     each such group, and its per-weight step once per row, so every row
     still gets both count paths and the same verdict, error text and
-    report bytes as a block_invariants call of its own. Rows run serially:
-    the row work holds the GIL, so a thread pool measured slower."""
+    report bytes as a block_invariants call of its own.
+
+    Each run of rows that share (family, ell, d, a) is evaluated largest w
+    first (rows of equal w in q order), so the run's first row grows every
+    grow-only CountCache table it reads to the length the run needs, and
+    the other rows read prefixes. The tables are prefix-stable, so the
+    order changes no value: each row is stored at its own place and the
+    report bytes are those of an evaluation in row order. Rows run serially: the row work
+    holds the GIL, so a thread pool measured slower."""
     cache = cache or shared_cache
     groups: dict = {}
     rows = []
     errors = []
-    for param in spec.row_params():
-        if param["family"] in WEIGHT_FAMILIES:
-            row, message = _weight_row(param, groups, cache, check_two_path)
+    for key, run in itertools.groupby(spec.row_params(), _run_key):
+        run = list(run)
+        if key is None:
+            results = [_principal_row(param, cache, check_two_path) for param in run]
         else:
-            row, message = _principal_row(param, cache, check_two_path)
-        rows.append(row)
-        if message:
-            errors.append(message)
+            results = [None] * len(run)
+            # stable, so rows of equal w keep their q order
+            for i in sorted(range(len(run)), key=lambda i: -run[i]["w"]):
+                results[i] = _weight_row(run[i], groups, cache, check_two_path)
+        for row, message in results:
+            rows.append(row)
+            if message:
+                errors.append(message)
     metadata = {
         "tool": "blockcensus",
         "version": __version__,

@@ -14,9 +14,14 @@ makes this module the independent second route used for cross-checking.
 The counting routines never enumerate weight vectors. A class of c slots at
 unit weight u contributes the factor P(x**u)**c, with P the partition
 generating function, so the non-principal slots together contribute the
-product of these factors over the slot classes. Each power is taken by
-repeated squaring of the truncated partition series and folded in at its
-stride u; the principal factor is P(x)**weyl_base, taken the same way.
+product of these factors over the slot classes. The base classes all sit
+at u = 1 and contribute one power of P, taken by repeated squaring of the
+truncated partition series. The deep classes share one count c at the unit
+weights ell, ell**2, ..., so together they contribute D(x**ell), where
+D(y) = P(y)**c * D(y**ell) is self-similar: D is built at budget // ell by
+one truncated product per level, each level ell times shorter than the
+last, with no stride loop. The principal factor is P(x)**weyl_base, taken
+by repeated squaring too.
 The route is independent of the closed formulas in the blocks module: it
 uses only partition numbers and truncated products, never the divisor-sum
 (sigma) recurrence of the coloured-partition rows nor the composition tail
@@ -29,11 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .counting import (
-    KRONECKER_MIN_LEN,
     CountCache,
     _mul_trunc,
     exact_div,
@@ -301,32 +304,56 @@ def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
         base = _mul_trunc(base, base, m)
 
 
+def _spread(series: list[int], u: int, m: int) -> list[int]:
+    """Coefficients 0..m of series(x**u); series holds at least m // u + 1."""
+    out = [0] * (m + 1)
+    out[::u] = series[: m // u + 1]
+    return out
+
+
+def _deep_factor(power: list[int], ell: int, n: int) -> list[int]:
+    """Coefficients 0..n of D(y) = prod_{j >= 0} P(y**(ell**j))**c, where
+    power holds P(y)**c through at least degree n.
+
+    D(y) = P(y)**c * D(y**ell), and D(y**ell) agrees with 1 below degree
+    ell, so D at n is one product against D at n // ell, spread, down to
+    n < ell, where D is P(y)**c itself."""
+    if n < ell:
+        return power[: n + 1]
+    return _mul_trunc(power, _spread(_deep_factor(power, ell, n // ell), ell, n), n)
+
+
 def _fold_slot_classes(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    # the base slots come first, at unit weight 1, so the first power
-    # starts the product
-    classes = inv.slot_classes(budget)
-    series = _partition_power(classes[0].slot_count, budget, cache)
-    for cls in classes[1:]:
-        u = cls.unit_weight
-        power = _partition_power(cls.slot_count, budget // u, cache)
-        if len(power) < KRONECKER_MIN_LEN:
-            # series[n::-u] is the old series at n, n - u, ...: n // u + 1 terms
-            series = [sum(map(operator.mul, series[n::-u], power)) for n in range(budget + 1)]
-        else:
-            spread = [0] * (budget + 1)  # power(x**u)
-            spread[::u] = power
-            series = _mul_trunc(series, spread, budget)
+    """Coefficients 0..budget of the product over inv.slot_classes(budget)
+    of P(x**u)**c.
+
+    The base classes all sit at u = 1, so together they contribute one
+    partition power, to their total slot count. The deep class at level
+    a + j holds the level-a count c at u = ell**j, so together the deep
+    classes contribute D(x**ell) with D(y) = prod_{j >= 0} P(y**(ell**j))**c,
+    a series that _deep_factor builds from its own self-similarity at
+    budget // ell. One product folds it into the base power."""
+    count = sum(cls.slot_count for cls in inv.base_slots())
+    series = _partition_power(count, budget, cache)
+    deep = inv.deep_slots(budget)
+    if deep:
+        ell, n = inv.ell, budget // inv.ell
+        power = _partition_power(deep[0].slot_count, n, cache)
+        series = _mul_trunc(series, _spread(_deep_factor(power, ell, n), ell, budget), budget)
     return series
 
 
 def _twisted_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
     """Coefficients 0..budget (at least) of the number-weighted count of
     ways to place weight v on the non-principal slots: the product over
-    the slot classes of P(x**u)**c, for c slots at unit weight u.
+    the slot classes of P(x**u)**c, for c slots at unit weight u, as
+    _fold_slot_classes builds it: one base power and the self-similar deep
+    factor, with no per-class stride loop.
 
     The product depends only on (ell, a, denom), and truncating it at a
     larger budget extends it without changing a coefficient, so the cache
-    keeps one grow-only series per key and a request reads its prefix."""
+    keeps one grow-only series per key and a request reads its prefix. A
+    sweep asks for a run's largest budget first, so the run builds it once."""
     return cache._slot_series(
         ("twisted", inv.ell, inv.a, inv.denom),
         budget,

@@ -146,6 +146,30 @@ def test_block_query_validation():
         BlockQuery(blocks.SOEVEN_PLUS, prof, w=0, n=2)
 
 
+def test_block_query_refuses_g_above_a():
+    # the closing division of k_principal_slrange is by ell**g, and g <= a
+    # is what keeps it exact
+    for family in (blocks.SLRANGE, blocks.SURANGE):
+        for a in (1, 2):
+            with pytest.raises(ValueError, match="g must be <= a"):
+                BlockQuery(family, EllProfile(3, 1, a), n=3, g=a + 1, m=1)
+            for g in range(a + 1):
+                BlockQuery(family, EllProfile(3, 1, a), n=3, g=g, m=1)
+    # the refusal is a row error in a sweep, and rows at g <= a keep their counts
+    report = sweep(SweepSpec(
+        families=(blocks.SLRANGE,), ell_values=(3,), n_values=(1, 3, 9), g_values=(0, 1, 2),
+    ))
+    assert [(r["n"], r["g"], r["verdict"] == blocks.ERROR) for r in report.rows] == [
+        (n, g, g == 2) for n in (1, 3, 9) for g in (0, 1, 2)
+    ]
+    assert report.errors and all(e.endswith(": g must be <= a") for e in report.errors)
+    assert not report.has_internal_mismatch()
+    for row in report.rows:
+        if row["g"] <= 1:
+            query = BlockQuery(blocks.SLRANGE, EllProfile(3, 1, 1), n=row["n"], g=row["g"], m=row["m"])
+            assert row["k_B"] == k_principal_slrange(query)
+
+
 def test_profile_consistency_check():
     # synthetic profiles skip the check, witnessed ones must match
     ok = BlockQuery(blocks.GL, EllProfile(3, 1, 1, q=4), w=2)
@@ -635,6 +659,81 @@ def test_sweep_mismatch_in_one_ell_fails_only_its_rows(monkeypatch):
             assert now == was
     assert len(report.errors) == sum(hit)
     assert all("two-path mismatch" in message for message in report.errors)
+
+
+# Runs evaluate largest w first; the rows, their order and the error
+# messages must not show it. q = 3 divides ell = 3, and q = 2, 7 give
+# profiles that several (d, a) rows contradict, so error rows sit between
+# valid ones at several w of one run; w = -1 is refused per row.
+@pytest.mark.parametrize(
+    "w_values",
+    [
+        (0, 1, 40, 130, 200),
+        (200, 130, 40, 1, 0),
+        (40, -1, 200, 0, 130, 1),
+        (130, 40, 130, -1, 0, 40, -1),
+    ],
+    ids=["ascending", "descending", "unsorted", "repeated"],
+)
+def test_sweep_order_matches_a_per_row_reference(w_values):
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.GU, blocks.SP, blocks.SOEVEN_PLUS, blocks.SLRANGE),
+        ell_values=(3, 5),
+        d_values=(1, 2),
+        a_values=(1, 2),
+        w_values=w_values,
+        n_values=(3,),
+        q_values=(2, 3, 4, 7),
+    )
+    report = sweep(spec, CountCache())
+    rows, errors = _reference_sweep(spec, CountCache())
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.errors == errors
+    verdicts = {row["verdict"] for row in rows}
+    assert {blocks.ERROR, blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN} <= verdicts
+    assert blocks.INTERNAL_MISMATCH not in verdicts
+
+
+def test_census_deep_grid_builds_each_table_once(monkeypatch):
+    # the grid of the census-deep benchmark: evaluated largest w first,
+    # every slot series is built once, at 700, and every coloured-partition
+    # row grows once, where an ascending sweep builds each twice
+    builds = []
+    grown = {}
+    real_slot_series = CountCache._slot_series
+    real_tuple_row = CountCache._tuple_row
+
+    def counted_slot_series(self, key, n, build):
+        def counted_build(top):
+            builds.append((key, top))
+            return build(top)
+
+        return real_slot_series(self, key, n, counted_build)
+
+    def counted_tuple_row(self, s, t):
+        before = len(self._tuples.get(s, ()))
+        row = real_tuple_row(self, s, t)
+        if len(row) != before:
+            grown.setdefault(s, []).append(len(row))
+        return row
+
+    monkeypatch.setattr(CountCache, "_slot_series", counted_slot_series)
+    monkeypatch.setattr(CountCache, "_tuple_row", counted_tuple_row)
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.SP),
+        ell_values=(3,),
+        d_values=(1,),
+        a_values=(1,),
+        w_values=(0, 400, 500, 600, 700),
+    )
+    report = sweep(spec, CountCache())
+    assert all(row["two_path_checked"] for row in report.rows)
+    # GL has slot denominator 1, Sp 2
+    assert sorted(builds) == sorted(
+        ((kind, 3, 1, denom), 700) for kind in ("block", "twisted") for denom in (1, 2)
+    )
+    # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
+    assert grown == {3: [701], 2: [234], 1: [234]}
 
 
 def _reference_cell_text(value):

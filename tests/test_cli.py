@@ -179,6 +179,26 @@ def test_census_refuses_rank_zero_like_a_negative_rank(capsys):
     assert all(line.endswith(": n must be >= 1") for line in errors)
 
 
+@pytest.mark.parametrize("family", ["SLrange", "SUrange"])
+def test_census_refuses_g_above_a_as_an_error_row(capsys, family):
+    # g bounds the ell-part of the index, at most ell**a: a larger g is a
+    # parameter error, not an inexact division inside the program
+    code, out, err = run_cli(
+        capsys, "census", "--family", family, "--ell", "3", "--n", "1,3", "--g", "2",
+        "--strip-timestamp",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if line.startswith(family + ",")]
+    assert [(row[1], row[6], row[12]) for row in rows] == [
+        ("1", "2", "ERROR"),
+        ("3", "2", "ERROR"),
+    ]
+    errors = err.splitlines()
+    assert len(errors) == 2
+    assert all(line.endswith(": g must be <= a") for line in errors)
+    assert "internal mismatch" not in err
+
+
 def test_census_error_rows_go_to_stderr(capsys):
     # ell divides q, so every row fails to derive a profile; that is a
     # reporting problem, not a conjecture violation

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blockcensus import blocks, slots
 from blockcensus.counting import (
+    KRONECKER_MIN_LEN,
     CountCache,
     is_prime,
     multipartition_count,
@@ -316,11 +317,14 @@ def _reference_twisted_series(inv, budget):
     return series
 
 
-def _reference_block_count(inv, w):
-    twisted = _reference_twisted_series(inv, w)
+def _reference_block_from(inv, twisted, w):
     return sum(
         multipartition_count(inv.weyl_base, u) * twisted[w - u] for u in range(w + 1)
     )
+
+
+def _reference_block_count(inv, w):
+    return _reference_block_from(inv, _reference_twisted_series(inv, w), w)
 
 
 @st.composite
@@ -344,6 +348,78 @@ def test_twisted_series_is_the_slot_fold(family, profile, w):
     count = _reference_block_count(inv, w)
     assert slots.block_count_proof_path(family, ell, d, a, w, CountCache()) == count
     assert slots.block_count_proof_path(family, ell, d, a, w) == count
+
+
+def _reference_class_product(inv, budget):
+    # the literal product over inv.slot_classes(budget) of P(x**u)**c, one
+    # schoolbook product per class; the class factor P(y)**c is read off the
+    # coloured-partition row k(c, .), which the slot path never reads
+    series = [1] + [0] * budget
+    for cls in inv.slot_classes(budget):
+        u = cls.unit_weight
+        factor = [0] * (budget + 1)
+        for v in range(budget // u + 1):
+            factor[u * v] = multipartition_count(cls.slot_count, v)
+        series = _convolve(factor, series, budget)
+    return series
+
+
+def _edge_budgets(ell):
+    # 0 and 1, and either side of ell, ell**2 and ell**3: the budgets where
+    # the deep classes, and the levels of their self-similar fold, begin
+    return sorted({0, 1} | {ell**j + e for j in (1, 2, 3) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_slot_series_is_the_class_product_at_edge_budgets(ell, a):
+    # every d, under both denominator rules (d, and 2d'); each budget is
+    # built on a fresh cache, so the fold starts its recursion there, and
+    # the block series then reads that slot series
+    budgets = _edge_budgets(ell)
+    top = budgets[-1]
+    products = {}
+    for family in (slots.LINEAR, slots.SYMPLECTIC):
+        for d in (d for d in range(1, ell) if (ell - 1) % d == 0):
+            inv = slots.build_inventory(family, ell, d, a)
+            if inv.denom not in products:
+                products[inv.denom] = _reference_class_product(inv, top)
+            expected = products[inv.denom]
+            for budget in budgets:
+                cache = CountCache()
+                got = slots._twisted_series(inv, budget, cache)
+                assert got[: budget + 1] == expected[: budget + 1], (family, d, budget)
+                count = _reference_block_from(inv, expected, budget)
+                assert slots.block_count_proof_path(
+                    family, ell, d, a, budget, cache
+                ) == count, (family, d, budget)
+
+
+def test_slot_series_is_the_class_product_where_the_fold_packs(monkeypatch):
+    # budgets either side of the one where the deep factor, at budget // ell,
+    # reaches the packed kernel; the slot path then runs with the sigma
+    # recurrence and the coloured-partition rows refusing to be read
+    cases = []
+    for ell, a in ((3, 1), (3, 2), (5, 1), (7, 1)):
+        edge = ell * (KRONECKER_MIN_LEN - 1)  # budget // ell + 1 == KRONECKER_MIN_LEN
+        budgets = (edge - 1, edge, edge + ell)
+        for family in (slots.LINEAR, slots.SYMPLECTIC):
+            inv = slots.build_inventory(family, ell, 1, a)
+            expected = _reference_class_product(inv, budgets[-1])
+            for budget in budgets:
+                count = _reference_block_from(inv, expected, budget)
+                cases.append((inv, budget, expected[: budget + 1], count))
+
+    def refuse(*args):
+        raise AssertionError("the slot path read the sigma recurrence")
+
+    for name in ("_extend_sigma", "_tuple_row", "multipartition_count"):
+        monkeypatch.setattr(CountCache, name, refuse)
+    for inv, budget, expected, count in cases:
+        assert slots._twisted_series(inv, budget, CountCache())[: budget + 1] == expected
+        assert slots.block_count_proof_path(
+            inv.family, inv.ell, inv.d, inv.a, budget, CountCache()
+        ) == count
 
 
 def test_slot_series_is_prefix_stable():
