@@ -17,6 +17,7 @@ from . import slots
 from ._version import __version__
 from .counting import (
     CountCache,
+    colour_counts,
     composition_sum,
     d_core_count,
     exact_div,
@@ -291,11 +292,8 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
 
 def _colour_counts(family: str, profile: EllProfile) -> tuple[int, int]:
     """The head and tail colour counts of k_unipotent_block."""
-    ell, a = profile.ell, profile.a
     denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
-    head = denom + exact_div(ell**a - 1, denom)
-    tail = exact_div(ell**a - ell ** (a - 1), denom)
-    return head, tail
+    return colour_counts(profile.ell, profile.a, denom)
 
 
 def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> int:
@@ -874,8 +872,7 @@ def sweep(
     grow-only CountCache table it reads to the length the run needs, and
     the other rows read prefixes. The tables are prefix-stable, so the
     order changes no value: each row is stored at its own place and the
-    report bytes are those of an evaluation in row order. Rows run serially: the row work
-    holds the GIL, so a thread pool measured slower."""
+    report bytes are those of an evaluation in row order."""
     cache = cache or shared_cache
     groups: dict = {}
     rows = []

@@ -205,7 +205,10 @@ def _cmd_census(args) -> int:
     report = blocks.sweep(spec, check_two_path=not args.no_two_path, timestamp=timestamp)
     text = report.render(fmt)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     for message in report.errors:
@@ -341,6 +344,8 @@ def _defining_char_checks(data_dir) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
+    if args.data_dir is not None and not Path(args.data_dir).is_dir():
+        raise CliError(f"--data-dir {args.data_dir} is not a directory")
     sections = (args.table,) if args.table else VERIFY_SECTIONS
     failures = []
     for section in sections:

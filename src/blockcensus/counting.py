@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
 
 __all__ = [
     "CountCache",
@@ -145,14 +144,12 @@ class CountCache:
     changes an entry already read. The slot series grow by replacement
     with a longer list, the others by appending.
 
-    A single instance may be shared between worker threads. Reads of an
-    entry a table already holds take no lock; the lock is taken only to
-    extend a table, once per extension, and the length is checked again
-    under it.
+    A cache is single-threaded: a table is extended in place with no lock.
+    A program that counts from several threads gives each thread its own
+    CountCache, since every cache=None call reads shared_cache.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._partitions: list[int] = [1]
         self._sigma: list[int] = [0]  # divisor sums, index 0 unused
         self._tuples: dict[int, list[int]] = {}
@@ -167,26 +164,24 @@ class CountCache:
         parts = self._partitions
         if t < len(parts):
             return parts[t]
-        with self._lock:
-            for n in range(len(parts), t + 1):
-                acc = 0
-                k = 1
-                while True:
-                    g = k * (3 * k - 1) // 2
-                    if g > n:
-                        break
-                    sign = 1 if k % 2 else -1
+        for n in range(len(parts), t + 1):
+            acc = 0
+            k = 1
+            while True:
+                g = k * (3 * k - 1) // 2
+                if g > n:
+                    break
+                sign = 1 if k % 2 else -1
+                acc += sign * parts[n - g]
+                g += k
+                if g <= n:
                     acc += sign * parts[n - g]
-                    g += k
-                    if g <= n:
-                        acc += sign * parts[n - g]
-                    k += 1
-                parts.append(acc)
-            return parts[t]
+                k += 1
+            parts.append(acc)
+        return parts[t]
 
     def _extend_sigma(self, n: int) -> None:
-        # caller holds the lock; a sieve adds each i to its multiples in
-        # the new range len(sig)..n
+        # a sieve adds each i to its multiples in the new range len(sig)..n
         sig = self._sigma
         start = len(sig)
         if n < start:
@@ -205,20 +200,16 @@ class CountCache:
         sweep of ascending t extends it O(log t) times. The part of h(n) due
         to the entries the row already holds is taken first, by one
         product; _online_row then appends the rest in order."""
-        row = self._tuples.get(s)
-        if row is not None and t < len(row):
+        row = self._tuples.setdefault(s, [1])
+        start = len(row)
+        if t < start:
             return row
-        with self._lock:
-            row = self._tuples.setdefault(s, [1])
-            start = len(row)
-            if t < start:
-                return row
-            t = max(t, 2 * start)
-            self._extend_sigma(t)
-            sig = self._sigma
-            h = _mul_trunc(row, sig, t)[start:]
-            _online_row(row, sig, s, h, start, start, t + 1)
-            return row
+        t = max(t, 2 * start)
+        self._extend_sigma(t)
+        sig = self._sigma
+        h = _mul_trunc(row, sig, t)[start:]
+        _online_row(row, sig, s, h, start, start, t + 1)
+        return row
 
     def multipartition_count(self, s: int, t: int) -> int:
         """Number of s-tuples of partitions whose sizes sum to t.
@@ -238,35 +229,28 @@ class CountCache:
     def _tail_series(self, ell: int, t: int, n: int) -> list[int]:
         """The series c_t(0..) of composition_sum, holding at least n + 1
         entries: c_t(0) = 1 and c_t(m) = sum_{j <= m/ell} k(t, m - ell j) c_t(j)."""
-        key = (ell, t)
-        series = self._tails.get(key)
-        if series is not None and n < len(series):
+        series = self._tails.setdefault((ell, t), [1])
+        if n < len(series):
             return series
-        with self._lock:
-            series = self._tails.setdefault(key, [1])
-            row = self._tuple_row(t, n)
-            for m in range(len(series), n + 1):
-                # row[m::-ell] is k(t, m), k(t, m - ell), ...; it is shorter
-                # than series, which holds c_t(0..m-1)
-                series.append(sum(map(operator.mul, row[m::-ell], series)))
-            return series
+        row = self._tuple_row(t, n)
+        for m in range(len(series), n + 1):
+            # row[m::-ell] is k(t, m), k(t, m - ell), ...; it is shorter
+            # than series, which holds c_t(0..m-1)
+            series.append(sum(map(operator.mul, row[m::-ell], series)))
+        return series
 
     def _slot_series(self, key: tuple[str, int, int, int], n: int, build) -> list[int]:
         """The slot path's series for key, holding at least n + 1 entries.
 
         build(budget) returns the series truncated at budget. A missing or
-        shorter entry is replaced, under the lock, by build(max(n, 2 * len)),
-        so a sweep of ascending n rebuilds it O(log n) times; an entry is
-        never changed after it is stored."""
+        shorter entry is replaced by build(max(n, 2 * len)), so a sweep of
+        ascending n rebuilds it O(log n) times; an entry is never changed
+        after it is stored."""
         series = self._slots.get(key)
-        if series is not None and n < len(series):
-            return series
-        with self._lock:
-            series = self._slots.get(key)
-            if series is None or n >= len(series):
-                series = build(max(n, 2 * len(series)) if series else n)
-                self._slots[key] = series
-            return series
+        if series is None or n >= len(series):
+            series = build(max(n, 2 * len(series)) if series else n)
+            self._slots[key] = series
+        return series
 
     def p_ell(self, ell: int, w: int) -> int:
         """Number of ways to write w as an ordered sum of ell-power levels.
@@ -282,14 +266,13 @@ class CountCache:
         tab = self._ppower.get(ell)
         if tab is not None and w < len(tab):
             return tab[w]
-        with self._lock:
-            tab = self._ppower.setdefault(ell, [1])
-            for n in range(len(tab), w + 1):
-                val = tab[n - 1]
-                if n % ell == 0:
-                    val += tab[n // ell]
-                tab.append(val)
-            return tab[w]
+        tab = self._ppower.setdefault(ell, [1])
+        for n in range(len(tab), w + 1):
+            val = tab[n - 1]
+            if n % ell == 0:
+                val += tab[n // ell]
+            tab.append(val)
+        return tab[w]
 
 
 def _online_row(
@@ -393,15 +376,23 @@ def composition_sum(
     return sum(map(operator.mul, head[w::-ell], tails))
 
 
+def colour_counts(ell: int, a: int, denom: int) -> tuple[int, int]:
+    """The head and tail colour counts of a weight-w unipotent block,
+    denom + (ell**a - 1)/denom and (ell**a - ell**(a-1))/denom, with denom
+    the slot denominator of its family (slots.slot_denominator)."""
+    head = denom + exact_div(ell**a - 1, denom)
+    tail = exact_div(ell**a - ell ** (a - 1), denom)
+    return head, tail
+
+
 def k_ell_a_w(ell: int, a: int, w: int, cache: CountCache | None = None) -> int:
     """Weighted composition sum with colour counts ell**a and
-    ell**a - ell**(a-1); the baseline count for weight-w blocks when the
-    relevant cyclotomic parameter is 1."""
+    ell**a - ell**(a-1), colour_counts at denom 1; the baseline count for
+    weight-w blocks when the relevant cyclotomic parameter is 1."""
     _require_odd_prime(ell)
     if a < 1:
         raise ValueError("a must be >= 1")
-    base = ell**a
-    return composition_sum(ell, base, base - base // ell, w, cache)
+    return composition_sum(ell, *colour_counts(ell, a, 1), w, cache)
 
 
 def val_factorial(ell: int, w: int) -> int:

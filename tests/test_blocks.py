@@ -202,8 +202,8 @@ def test_k_unipotent_block_values():
 
 
 def test_k_unipotent_block_matches_split_closed_form():
-    for ell in (3, 5):
-        for a in (1, 2):
+    for ell in (3, 5, 7):
+        for a in (1, 2, 3):
             for w in range(7):
                 query = BlockQuery(blocks.GL, EllProfile(ell, 1, a), w=w)
                 assert k_unipotent_block(query) == k_ell_a_w(ell, a, w)

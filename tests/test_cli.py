@@ -125,6 +125,19 @@ def test_census_out_file(tmp_path, capsys):
     assert target.read_text().startswith("# tool: blockcensus")
 
 
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_census_out_unwritable_is_a_parameter_error(tmp_path, capsys, where):
+    target = tmp_path / "absent" / "report.csv" if where == "missing-parent" else tmp_path
+    code, out, err = run_cli(
+        capsys, "census", "--family", "GL", "--ell", "3", "--w", "1",
+        "--strip-timestamp", "--out", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_census_jobs_deterministic(capsys):
     args = (
         "census", "--family", "GL,Sp,PSLell", "--ell", "3,5", "--a", "1,2",
@@ -359,6 +372,17 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "E6-l3 row D5(q).(q-1): FAIL" in out
     assert "E6-l3 sums: FAIL" in out
     assert "failed:" in err
+
+
+@pytest.mark.parametrize("where", ["missing", "regular-file"])
+def test_verify_data_dir_not_a_directory(tmp_path, capsys, where):
+    path = tmp_path / "data"
+    if where == "regular-file":
+        path.write_text("")
+    code, out, err = run_cli(capsys, "verify-exceptional", "--data-dir", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --data-dir {path} is not a directory\n"
 
 
 def test_oracle_gl_pass(capsys):

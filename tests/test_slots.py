@@ -1,6 +1,4 @@
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import timedelta
 
 import pytest
@@ -463,10 +461,9 @@ def test_slot_path_reads_no_sigma_row(monkeypatch):
         assert slots.block_count_proof_path(weight_family, 3, 1, 1, 450, cache) == count
 
 
-def test_slot_series_concurrent_growth():
-    # entries are read without the lock and rebuilt under it: threads
-    # growing one cache in different orders must read what one serial
-    # cache computes
+def test_slot_series_growth():
+    # entries are rebuilt longer and never changed once stored: one cache
+    # grown in any query order must read what one serial cache computes
     queries = [
         (family, ell, d, a, w)
         for family in (slots.LINEAR, slots.SYMPLECTIC)
@@ -477,23 +474,10 @@ def test_slot_series_concurrent_growth():
     ]
     serial = CountCache()
     expected = {q: slots.block_count_proof_path(*q, serial) for q in queries}
-
-    def run(order):
-        return [(q, slots.block_count_proof_path(*q, shared)) for q in order]
-
-    shared = CountCache()
-    orders = [random.Random(seed).sample(queries, len(queries)) for seed in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(run, order) for order in orders]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for result in results:
-        for q, value in result:
-            assert value == expected[q], q
+    for seed in range(6):
+        grown = CountCache()
+        for q in random.Random(seed).sample(queries, len(queries)):
+            assert slots.block_count_proof_path(*q, grown) == expected[q], (seed, q)
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=2))
