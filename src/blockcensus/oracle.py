@@ -388,40 +388,10 @@ def mat_identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mat_mul(field: SmallField, a, b):
-    """The product a b, read from the field's addition and multiplication
-    tables; written out in full for n = 2 and n = 3 (MAX_N caps the
-    censuses there), the plain triple loop for any other n."""
+    """The product a b by the plain triple loop, read from the field's
+    addition and multiplication tables."""
     A, M = field._add, field._mul
     n = len(a)
-    if n == 3:
-        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-        m0, m1, m2 = M[a00], M[a01], M[a02]
-        r0 = (
-            A[A[m0[b00]][m1[b10]]][m2[b20]],
-            A[A[m0[b01]][m1[b11]]][m2[b21]],
-            A[A[m0[b02]][m1[b12]]][m2[b22]],
-        )
-        m0, m1, m2 = M[a10], M[a11], M[a12]
-        r1 = (
-            A[A[m0[b00]][m1[b10]]][m2[b20]],
-            A[A[m0[b01]][m1[b11]]][m2[b21]],
-            A[A[m0[b02]][m1[b12]]][m2[b22]],
-        )
-        m0, m1, m2 = M[a20], M[a21], M[a22]
-        r2 = (
-            A[A[m0[b00]][m1[b10]]][m2[b20]],
-            A[A[m0[b01]][m1[b11]]][m2[b21]],
-            A[A[m0[b02]][m1[b12]]][m2[b22]],
-        )
-        return (r0, r1, r2)
-    if n == 2:
-        (b00, b01), (b10, b11) = b
-        (a00, a01), (a10, a11) = a
-        m0, m1 = M[a00], M[a01]
-        r0 = (A[m0[b00]][m1[b10]], A[m0[b01]][m1[b11]])
-        m0, m1 = M[a10], M[a11]
-        return (r0, (A[m0[b00]][m1[b10]], A[m0[b01]][m1[b11]]))
     out = []
     for i in range(n):
         row = []
@@ -435,31 +405,16 @@ def mat_mul(field: SmallField, a, b):
 
 
 def mat_det(field: SmallField, a) -> int:
-    """Determinant by cofactor expansion along the first row; n = 2 and
-    n = 3 are written out from the field's tables."""
+    """Determinant by cofactor expansion along the first row, read from
+    the field's tables; the empty matrix has determinant 1."""
+    if not a:
+        return 1
     A, M, N = field._add, field._mul, field._neg
-    n = len(a)
-    if n == 3:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-        m0, m1, m2 = M[a10], M[a11], M[a12]
-        c0 = A[m1[a22]][N[m2[a21]]]
-        c1 = A[m0[a22]][N[m2[a20]]]
-        c2 = A[m0[a21]][N[m1[a20]]]
-        return A[A[M[a00][c0]][N[M[a01][c1]]]][M[a02][c2]]
-    if n == 2:
-        (a00, a01), (a10, a11) = a
-        return A[M[a00][a11]][N[M[a01][a10]]]
-    if n == 1:
-        return a[0][0]
     det = 0
-    sign_flip = False
-    for j in range(n):
+    for j, entry in enumerate(a[0]):
         minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        term = field.mul(a[0][j], mat_det(field, minor))
-        if sign_flip:
-            term = field.neg(term)
-        det = field.add(det, term)
-        sign_flip = not sign_flip
+        term = M[entry][mat_det(field, minor)]
+        det = A[det][N[term] if j % 2 else term]
     return det
 
 
@@ -528,11 +483,16 @@ def _closure(start, maps, cap: int) -> set:
 
 
 def _orbits(starts, maps, cap: int):
-    """Yield the closure of each start that no earlier orbit holds."""
+    """Yield the closure of each start that no earlier orbit holds. The
+    censuses pass their group order as `cap`, which no orbit of a correct
+    action outgrows, so an overrun is a RuntimeError, not a bad argument."""
     seen: set = set()
     for x in starts:
         if x not in seen:
-            orbit = _closure(x, maps, cap)
+            try:
+                orbit = _closure(x, maps, cap)
+            except ValueError as exc:
+                raise RuntimeError(str(exc)) from None
             seen |= orbit
             yield orbit
 
@@ -562,7 +522,6 @@ def gl_generators(field: SmallField, n: int):
 # ---------------------------------------------------------------------------
 # conjugacy census of ell-power-order elements in GL_n(q)
 
-FULL_SCAN_LIMIT = 30_000
 GROUP_ORDER_CAP = 10_000_000
 MAX_N = 3
 
@@ -597,7 +556,7 @@ def _element_order(field: SmallField, x, bound: int) -> int:
         y = mat_mul(field, y, x)
         order += 1
         if order > bound:
-            raise ValueError("element order exceeds the group order bound")
+            raise RuntimeError("element order exceeds the group order bound")
     return order
 
 
@@ -669,8 +628,8 @@ def conjugacy_class(field: SmallField, x, conjugators):
 
 
 def _class_data(field: SmallField, n: int, elements, conjugators, order: int):
-    """Split `elements`, a union of classes under the conjugators, into
-    classes, taken in sorted order of their first member. Returns the
+    """Close each element of `elements`, in sorted order, to its class
+    under the conjugators, skipping those an earlier class holds. Returns the
     ClassDatum list, each with its least member as representative, and the
     number of elements the classes cover. Codes sort like the matrices
     they stand for, so the least code is the least matrix."""
@@ -690,10 +649,16 @@ def _class_data(field: SmallField, n: int, elements, conjugators, order: int):
 
 
 def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
-    """Build one Sylow ell-subgroup. When ell divides q - 1 the diagonal
-    torus plus an ell-cycle already generate it; otherwise take ell-parts
-    of seeded-random elements until the size is right. Either way the
-    result has order exactly ell**nu, so every ell-class meets it."""
+    """Build one Sylow ell-subgroup, of order ell**nu. When ell divides
+    q - 1 the ell-part of the diagonal torus plus an ell-cycle generate an
+    ell-group to start from. Then take the ell-part y of seeded-random
+    elements, and keep y only when it and the generators so far close to a
+    group of ell-power order at most ell**nu: two ell-elements of different
+    Sylow subgroups can generate a group that is not an ell-group. Failing
+    that, y and the starting generators alone replace the group so far when
+    they close to a larger ell-group, so an early y from the wrong Sylow
+    subgroup cannot trap the search. Any failure to reach order ell**nu is
+    a RuntimeError."""
     target = ell**nu
     gens = []
     if (q - 1) % ell == 0:
@@ -716,8 +681,11 @@ def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
             gens.append(
                 tuple(tuple(1 if j == cyc[i] else 0 for j in range(n)) for i in range(n))
             )
-    gens = [g for g in gens if g != mat_identity(n)]
-    group = mulclose(field, gens, 2 * target) if gens else {mat_identity(n)}
+    base = gens = [g for g in gens if g != mat_identity(n)]
+    try:
+        group = mulclose(field, base, target) if base else {mat_identity(n)}
+    except ValueError as exc:
+        raise RuntimeError(f"starting generators overrun the Sylow order: {exc}") from None
     rng = random.Random(rng_seed)
     tries = 0
     while len(group) < target:
@@ -729,11 +697,16 @@ def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
         if mat_det(field, g) == 0:
             continue
         y = mat_pow(field, g, order // target)
-        if y not in group:
-            gens.append(y)
-            group = mulclose(field, gens, 2 * target)
-    if len(group) != target:
-        raise RuntimeError("Sylow subgroup has the wrong order")
+        if y in group:
+            continue
+        for trial in (gens + [y], base + [y]):
+            try:
+                larger = mulclose(field, trial, target)
+            except ValueError:
+                continue
+            if target % len(larger) == 0 and len(larger) > len(group):
+                gens, group = trial, larger
+                break
     return group
 
 
@@ -745,9 +718,11 @@ def gl_ell_class_census(
     rng_seed: int = 0,
 ) -> MatrixGroupCensus:
     """Conjugacy classes of ell-power-order elements of GL_n(q), computed
-    by explicit matrix arithmetic. Small groups are scanned in full;
-    larger ones are seeded from one Sylow ell-subgroup, which meets every
-    ell-class, and closed under conjugation."""
+    by explicit matrix arithmetic. The classes are seeded from one Sylow
+    ell-subgroup, which meets every ell-class by Sylow's theorem, and
+    closed under conjugation. By Frobenius's theorem the number of
+    solutions of x**(ell**nu) = 1 is a multiple of ell**nu, so classes
+    that cover any other number are a RuntimeError."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census cap exceeded: n must be 1..{MAX_N}, got {n}")
     if not is_prime(ell) or ell == 2:
@@ -764,22 +739,13 @@ def gl_ell_class_census(
     gens = gl_generators(field, n)
     conjugators = [(g, mat_inv(field, g)) for g in gens]
 
-    if q ** (n * n) <= FULL_SCAN_LIMIT:
-        # an ell-element's order divides ell**nu, by Lagrange
-        ell_power, identity = ell**nu, mat_identity(n)
-        seeds = {
-            mat
-            for mat in itertools.product(field.row_tables(n).rows, repeat=n)
-            if mat_det(field, mat) != 0 and mat_pow(field, mat, ell_power) == identity
-        }
-        full_scan = True
-    else:
-        seeds = set(_sylow_subgroup(field, n, q, ell, nu, order, rng_seed))
-        full_scan = False
-
+    seeds = _sylow_subgroup(field, n, q, ell, nu, order, rng_seed)
     classes, covered = _class_data(field, n, seeds, conjugators, order)
-    if full_scan and covered != len(seeds):
-        raise RuntimeError("class partition does not cover the scanned elements")
+    if covered % ell**nu:
+        raise RuntimeError(
+            f"{covered} elements of ell-power order, not a multiple of "
+            f"ell**nu = {ell**nu} (Frobenius)"
+        )
     classes.sort(key=lambda c: (c.size, c.representative))
     return MatrixGroupCensus("GL", n, q, ell, order, tuple(classes))
 

@@ -443,6 +443,41 @@ def test_oracle_gmpn_coverage_failure_is_a_failed_check(capsys, monkeypatch):
     assert "gmpn m=2 p=2 n=2: census FAIL (conjugacy classes do not cover the group)" in out
 
 
+def test_oracle_frobenius_count_failure_is_a_failed_check(capsys, monkeypatch):
+    # dropping one class leaves a count that is not a multiple of ell**nu
+    orbits = oracle._orbits
+    monkeypatch.setattr(oracle, "_orbits", lambda *args: list(orbits(*args))[:-1])
+    code, out, _ = run_cli(capsys, "oracle", "--gl", "3,3,13")
+    assert code == 2
+    assert out.startswith("gl n=3 q=3 ell=13: census FAIL (")
+    assert "not a multiple of ell**nu = 13 (Frobenius)" in out
+
+
+def test_oracle_gl_class_overrun_is_a_failed_check(capsys, monkeypatch):
+    # a conjugation that leaves its class: an odometer on the two row codes
+    def leaking(tables, g, ginv):
+        top = len(tables.rows)
+        return lambda z: ((z[0] + 1) % top, (z[1] + (z[0] == top - 1)) % top)
+
+    monkeypatch.setattr(oracle, "_conjugation", leaking)
+    code, out, err = run_cli(capsys, "oracle", "--gl", "2,4,3")
+    assert code == 2
+    assert out == "gl n=2 q=4 ell=3: census FAIL (closure cap 180 exceeded)\n"
+    assert err == ""
+
+
+def test_oracle_gmpn_class_overrun_is_a_failed_check(capsys, monkeypatch):
+    # a product that forgets to reduce its exponents mod m
+    def unreduced(m, g, h):
+        return (g[0], tuple(a + b + 1 for a, b in zip(g[1], h[1])))
+
+    monkeypatch.setattr(oracle, "gmpn_mul", unreduced)
+    code, out, err = run_cli(capsys, "oracle", "--gmpn", "2,2,2")
+    assert code == 2
+    assert out == "gmpn m=2 p=2 n=2: census FAIL (closure cap 4 exceeded)\n"
+    assert err == ""
+
+
 def test_oracle_multi(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--multi", "4,8")
     assert code == 0

@@ -450,11 +450,57 @@ def test_census_rank_one():
 
 
 def test_census_is_deterministic():
-    a = oracle.gl_ell_class_census(3, 4, 3)
-    b = oracle.gl_ell_class_census(3, 4, 3)
-    assert [c.representative for c in a.classes] == [
-        c.representative for c in b.classes
-    ]
+    # the Sylow search draws from rng_seed; the classes must not depend on it
+    for case in ORACLE_GL_TOTALS:
+        reference = oracle.gl_ell_class_census(*case, rng_seed=0)
+        assert reference == oracle.gl_ell_class_census(*case, rng_seed=0), case
+        for seed in range(1, 5):
+            assert oracle.gl_ell_class_census(*case, rng_seed=seed) == reference, (case, seed)
+
+
+def test_sylow_subgroup_at_every_seed():
+    # GL_2(8) at ell = 3: two elements of order 3 from different Sylow
+    # subgroups generate a group that is not a 3-group, and the search
+    # must pass over them. At seeds 714 and 2016 the first 3-element has
+    # order 3 and 500 draws miss its own Sylow subgroup; the search gets
+    # out by restarting from a later element of order 9.
+    field = oracle.SmallField(8)
+    order = oracle.gl_order(2, 8)
+    for seed in [*range(60), 714, 2016]:
+        group = oracle._sylow_subgroup(field, 2, 8, 3, 2, order, seed)
+        assert len(group) == 9, seed
+        assert all(oracle.mat_mul(field, x, y) in group for x in group for y in group), seed
+
+
+@pytest.mark.parametrize(
+    "case", list(ORACLE_GL_TOTALS), ids=lambda c: "n{}-q{}-ell{}".format(*c)
+)
+def test_frobenius_count_catches_each_missing_class(case, monkeypatch):
+    classes = len(oracle.gl_ell_class_census(*case).classes)
+    orbits = oracle._orbits
+    for skip in range(classes):
+        monkeypatch.setattr(
+            oracle,
+            "_orbits",
+            lambda *args: (o for i, o in enumerate(orbits(*args)) if i != skip),
+        )
+        with pytest.raises(RuntimeError, match="Frobenius"):
+            oracle.gl_ell_class_census(*case)
+
+
+def test_census_overruns_are_runtime_errors():
+    # past argument validation a cap hit is an internal fault; _closure
+    # itself still reports a bad cap as a ValueError
+    maps = [lambda x: (x + 1) % 12]
+    with pytest.raises(ValueError, match="cap 5 exceeded"):
+        oracle._closure(0, maps, 5)
+    with pytest.raises(RuntimeError, match="cap 5 exceeded"):
+        list(oracle._orbits([0], maps, 5))
+    field = oracle.SmallField(2)
+    cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    assert oracle._element_order(field, cycle, 3) == 3
+    with pytest.raises(RuntimeError, match="order bound"):
+        oracle._element_order(field, cycle, 2)
 
 
 def test_census_caps_and_rejections():
