@@ -86,7 +86,7 @@ INCONCLUSIVE_UPPER_BOUND = "INCONCLUSIVE_UPPER_BOUND"
 # INTERNAL_MISMATCH is an ArithmeticError: the two count paths disagree or a
 # provably exact division left a remainder, a fault in the program. ERROR is
 # any other exception, normally a ValueError for parameters that do not
-# combine.
+# combine, or an OverflowError for a parameter too large to index a table.
 ERROR = "ERROR"
 INTERNAL_MISMATCH = "INTERNAL_MISMATCH"
 
@@ -730,8 +730,9 @@ def spec_hash(spec: SweepSpec) -> str:
 def _row_failure(exc: Exception) -> tuple[str, str]:
     """Verdict and error text of a row whose evaluation raised exc: an
     ArithmeticError is a fault in the program, anything else a parameter
-    combination that does not make a block."""
-    if isinstance(exc, ArithmeticError):
+    combination that does not make a block. An OverflowError is the one
+    ArithmeticError that is not: a parameter too large to index a table."""
+    if isinstance(exc, ArithmeticError) and not isinstance(exc, OverflowError):
         return INTERNAL_MISMATCH, f"internal mismatch: {exc}"
     return ERROR, str(exc)
 

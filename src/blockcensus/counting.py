@@ -135,10 +135,9 @@ class CountCache:
     Tables: the partition numbers, the divisor sums sigma(n), one row
     k(s, 0..) per colour count s, one p_ell table per prime, and one tail
     series c_t(0..) per (ell, t) for composition_sum. The slot path owns
-    one more, holding two series per (ell, a, denom): the folded slot
-    series of slots._twisted_series and the block series of
-    slots._block_series, that one times P(x)**weyl_base. Nothing in the
-    closed-form path reads them, and the slot path reads neither the
+    one more, holding one series per (ell, a, denom): the slot product
+    that slots.block_count_proof_path reads its counts from. Nothing in
+    the closed-form path reads it, and the slot path reads neither the
     sigma table nor the coloured-partition rows. Every table only grows,
     and a fresh cache recomputes identical values, so a longer table never
     changes an entry already read. The slot series grow by replacement
@@ -155,7 +154,7 @@ class CountCache:
         self._tuples: dict[int, list[int]] = {}
         self._ppower: dict[int, list[int]] = {}
         self._tails: dict[tuple[int, int], list[int]] = {}
-        self._slots: dict[tuple[str, int, int, int], list[int]] = {}
+        self._slots: dict[tuple[int, int, int], list[int]] = {}
 
     def partition_count(self, t: int) -> int:
         """Number of partitions of t, by the pentagonal-number recurrence."""
@@ -239,7 +238,7 @@ class CountCache:
             series.append(sum(map(operator.mul, row[m::-ell], series)))
         return series
 
-    def _slot_series(self, key: tuple[str, int, int, int], n: int, build) -> list[int]:
+    def _slot_series(self, key: tuple[int, int, int], n: int, build) -> list[int]:
         """The slot path's series for key, holding at least n + 1 entries.
 
         build(budget) returns the series truncated at budget. A missing or

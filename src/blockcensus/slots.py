@@ -13,15 +13,14 @@ makes this module the independent second route used for cross-checking.
 
 The counting routines never enumerate weight vectors. A class of c slots at
 unit weight u contributes the factor P(x**u)**c, with P the partition
-generating function, so the non-principal slots together contribute the
-product of these factors over the slot classes. The base classes all sit
-at u = 1 and contribute one power of P, taken by repeated squaring of the
-truncated partition series. The deep classes share one count c at the unit
-weights ell, ell**2, ..., so together they contribute D(x**ell), where
+generating function, and the principal factor is P(x)**weyl_base. The
+principal factor and the base classes all sit at u = 1, so together they
+contribute one power of P, taken by repeated squaring of the truncated
+partition series. The deep classes share one count c at the unit weights
+ell, ell**2, ..., so together they contribute D(x**ell), where
 D(y) = P(y)**c * D(y**ell) is self-similar: D is built at budget // ell by
 one truncated product per level, each level ell times shorter than the
-last, with no stride loop. The principal factor is P(x)**weyl_base, taken
-by repeated squaring too.
+last, with no stride loop. One product joins the two.
 The route is independent of the closed formulas in the blocks module: it
 uses only partition numbers and truncated products, never the divisor-sum
 (sigma) recurrence of the coloured-partition rows nor the composition tail
@@ -323,17 +322,20 @@ def _deep_factor(power: list[int], ell: int, n: int) -> list[int]:
     return _mul_trunc(power, _spread(_deep_factor(power, ell, n // ell), ell, n), n)
 
 
-def _fold_slot_classes(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    """Coefficients 0..budget of the product over inv.slot_classes(budget)
-    of P(x**u)**c.
+def _slot_product(
+    inv: SlotInventory, principal: int, budget: int, cache: CountCache
+) -> list[int]:
+    """Coefficients 0..budget of P(x)**principal times the product over
+    inv.slot_classes(budget) of P(x**u)**c, for c slots at unit weight u.
 
-    The base classes all sit at u = 1, so together they contribute one
-    partition power, to their total slot count. The deep class at level
-    a + j holds the level-a count c at u = ell**j, so together the deep
-    classes contribute D(x**ell) with D(y) = prod_{j >= 0} P(y**(ell**j))**c,
-    a series that _deep_factor builds from its own self-similarity at
-    budget // ell. One product folds it into the base power."""
-    count = sum(cls.slot_count for cls in inv.base_slots())
+    The principal factor and the base classes all sit at u = 1, so together
+    they contribute one partition power, to principal plus their total slot
+    count. The deep class at level a + j holds the level-a count c at
+    u = ell**j, so together the deep classes contribute D(x**ell) with
+    D(y) = prod_{j >= 0} P(y**(ell**j))**c, a series that _deep_factor builds
+    from its own self-similarity at budget // ell. One product folds it into
+    the base power."""
+    count = principal + sum(cls.slot_count for cls in inv.base_slots())
     series = _partition_power(count, budget, cache)
     deep = inv.deep_slots(budget)
     if deep:
@@ -343,41 +345,6 @@ def _fold_slot_classes(inv: SlotInventory, budget: int, cache: CountCache) -> li
     return series
 
 
-def _twisted_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    """Coefficients 0..budget (at least) of the number-weighted count of
-    ways to place weight v on the non-principal slots: the product over
-    the slot classes of P(x**u)**c, for c slots at unit weight u, as
-    _fold_slot_classes builds it: one base power and the self-similar deep
-    factor, with no per-class stride loop.
-
-    The product depends only on (ell, a, denom), and truncating it at a
-    larger budget extends it without changing a coefficient, so the cache
-    keeps one grow-only series per key and a request reads its prefix. A
-    sweep asks for a run's largest budget first, so the run builds it once."""
-    return cache._slot_series(
-        ("twisted", inv.ell, inv.a, inv.denom),
-        budget,
-        lambda top: _fold_slot_classes(inv, top, cache),
-    )
-
-
-def _block_series(inv: SlotInventory, budget: int, cache: CountCache) -> list[int]:
-    """Coefficients 0..budget (at least) of P(x)**weyl_base times the
-    slot series. The principal factor contributes the coefficient of
-    P(x)**weyl_base at u on weight u, so the block count at weight w is
-    this series at w. Kept like _twisted_series; build_inventory sets
-    weyl_base to denom, so the key determines it."""
-    return cache._slot_series(
-        ("block", inv.ell, inv.a, inv.denom),
-        budget,
-        lambda top: _mul_trunc(
-            _partition_power(inv.weyl_base, top, cache),
-            _twisted_series(inv, top, cache),
-            top,
-        ),
-    )
-
-
 def block_count_proof_path(
     family: str, ell: int, d: int, a: int, w: int, cache: CountCache | None = None
 ) -> int:
@@ -385,20 +352,29 @@ def block_count_proof_path(
     summing centraliser contributions over all weight vectors.
 
     Equivalent to enumerating enumerate_weight_vectors and adding up
-    unipotent_block_count, but organized as one series product: the
-    principal factor P(x)**weyl_base times the slot series of
-    _twisted_series, read at w, so large budgets stay cheap. Both are
-    built from partition numbers by truncated products alone; no sigma
-    row, coloured-partition row or composition tail series of the closed
-    formulas is read, which keeps this an independent check against them
-    in all but the inputs both share: slot_denominator and the product
-    kernel counting._mul_trunc, each pinned by its own test.
+    unipotent_block_count, but read at w off one series, _slot_product
+    with the principal factor P(x)**weyl_base, so large budgets stay
+    cheap. It is built from partition numbers by truncated products alone;
+    no sigma row, coloured-partition row or composition tail series of
+    the closed formulas is read, which keeps this an independent check
+    against them in all but the inputs both share: slot_denominator and
+    the product kernel counting._mul_trunc, each pinned by its own test.
+
+    The series depends only on (ell, a, denom), since build_inventory sets
+    weyl_base to denom, and a longer truncation only appends coefficients,
+    so the cache keeps one grow-only series per key; a sweep asks for a
+    run's largest w first, so the run builds it once.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
     cache = cache or shared_cache
     inv = build_inventory(family, ell, d, a)
-    return _block_series(inv, w, cache)[w]
+    series = cache._slot_series(
+        (inv.ell, inv.a, inv.denom),
+        w,
+        lambda top: _slot_product(inv, inv.weyl_base, top, cache),
+    )
+    return series[w]
 
 
 def eL_series_total(
@@ -421,7 +397,8 @@ def eL_series_total(
     cache = cache or shared_cache
     inv = build_inventory(kind, ell, e, a)
     w, r = divmod(n, e)
-    twisted = _twisted_series(inv, w, cache)
+    # no principal factor here: it is summed below, at rank e * u + r
+    slot_series = _slot_product(inv, 0, w, cache)
     return sum(
-        cache.partition_count(e * u + r) * twisted[w - u] for u in range(w + 1)
+        cache.partition_count(e * u + r) * slot_series[w - u] for u in range(w + 1)
     )

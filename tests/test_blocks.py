@@ -28,6 +28,7 @@ from blockcensus.blocks import (
 from blockcensus.counting import (
     CountCache,
     d_core_count,
+    exact_div,
     is_prime,
     k_ell_a_w,
     val_factorial,
@@ -418,6 +419,32 @@ def test_sweep_error_rows_are_isolated():
     assert all(r["verdict"] == "ERROR" for r in good.rows if r["d"] == 2)
 
 
+def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypatch):
+    # an OverflowError is an ArithmeticError raised by a weight too large to
+    # index a table; every other ArithmeticError is a fault in the program
+    spec = SweepSpec(
+        families=(blocks.GL,), ell_values=(3,), d_values=(1,), a_values=(1,),
+        w_values=(1, 10**20),
+    )
+    report = sweep(spec, CountCache())
+    assert [r["verdict"] for r in report.rows] == [
+        blocks.HOLDS_EQUALITY_ABELIAN,
+        blocks.ERROR,
+    ]
+    assert not report.has_internal_mismatch()
+
+    def inexact(*args):
+        return exact_div(13, 4)
+
+    monkeypatch.setattr(slots, "block_count_proof_path", inexact)
+    report = sweep(spec, CountCache())
+    assert [r["verdict"] for r in report.rows] == [
+        blocks.INTERNAL_MISMATCH,
+        blocks.ERROR,
+    ]
+    assert "division is not exact" in report.errors[0]
+
+
 def test_sweep_jobs_deterministic():
     spec = SweepSpec(
         families=(blocks.GL, blocks.SP, blocks.PSLELL),
@@ -728,10 +755,8 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     )
     report = sweep(spec, CountCache())
     assert all(row["two_path_checked"] for row in report.rows)
-    # GL has slot denominator 1, Sp 2
-    assert sorted(builds) == sorted(
-        ((kind, 3, 1, denom), 700) for kind in ("block", "twisted") for denom in (1, 2)
-    )
+    # GL has slot denominator 1, Sp 2: one slot series each
+    assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
     # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
     assert grown == {3: [701], 2: [234], 1: [234]}
 

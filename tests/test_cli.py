@@ -192,6 +192,26 @@ def test_census_refuses_rank_zero_like_a_negative_rank(capsys):
     assert all(line.endswith(": n must be >= 1") for line in errors)
 
 
+@pytest.mark.parametrize(
+    "family, flag", [("GL", "--w"), ("SLrange", "--n")], ids=["GL-w", "SLrange-n"]
+)
+def test_census_weight_too_large_to_index_is_an_error_row(capsys, family, flag):
+    # an OverflowError is an ArithmeticError, but a weight or rank past the
+    # index range is a parameter the program cannot take, not a fault in it
+    code, out, err = run_cli(
+        capsys, "census", "--family", family, "--ell", "3", "--d", "1",
+        flag, str(10**20), "--strip-timestamp",
+    )
+    assert code == 0
+    column = blocks.REPORT_COLUMNS.index("verdict")
+    rows = [line for line in out.splitlines() if line.startswith(family + ",")]
+    assert [row.split(",")[column] for row in rows] == [blocks.ERROR]
+    errors = err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {family} row")
+    assert "internal mismatch" not in err
+
+
 @pytest.mark.parametrize("family", ["SLrange", "SUrange"])
 def test_census_refuses_g_above_a_as_an_error_row(capsys, family):
     # g bounds the ell-part of the index, at most ell**a: a larger g is a

@@ -616,7 +616,7 @@ def test_oracle_answers_never_call_counting_or_slots(monkeypatch):
         for name in ("partition_count", "multipartition_count", "p_ell", "composition_sum")
     ] + [
         getattr(slots, name)
-        for name in ("block_count_proof_path", "eL_series_total", "_twisted_series")
+        for name in ("block_count_proof_path", "eL_series_total", "_slot_product")
     ]
     # replace every binding, so a future "from .counting import ..." is caught
     for modname, module in list(sys.modules.items()):

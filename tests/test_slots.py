@@ -188,14 +188,56 @@ def test_centralizer_shape_refuses_non_linear_orders():
         shape.linear_order(4)
 
 
-def test_unipotent_block_count_sums_to_proof_path():
-    inv = slots.build_inventory(slots.LINEAR, 3, 1, 1)
-    for w in range(6):
+def _inventory_profiles(families=slots.INVENTORY_FAMILIES):
+    # every d dividing ell - 1, a in {1, 2}
+    return [
+        (family, ell, d, a)
+        for family in families
+        for ell in (3, 5)
+        for d in range(1, ell)
+        if (ell - 1) % d == 0
+        for a in (1, 2)
+    ]
+
+
+# weights 0..4 keep the enumeration of ell = 5, a = 2 (24 base slots) small;
+# at ell = 3 they reach the first deep class
+BRUTE_FORCE_WEIGHTS = range(5)
+
+
+@pytest.mark.parametrize("family, ell, d, a", _inventory_profiles())
+def test_unipotent_block_count_sums_to_proof_path(family, ell, d, a):
+    inv = slots.build_inventory(family, ell, d, a)
+    cache = CountCache()
+    for w in BRUTE_FORCE_WEIGHTS:
         total = sum(
-            slots.unipotent_block_count(inv, vec)
+            slots.unipotent_block_count(inv, vec, cache)
             for vec in slots.enumerate_weight_vectors(inv, w)
         )
-        assert total == slots.block_count_proof_path(slots.LINEAR, 3, 1, 1, w)
+        assert total == slots.block_count_proof_path(family, ell, d, a, w, cache), w
+
+
+@pytest.mark.parametrize(
+    "kind, ell, e, a", _inventory_profiles((slots.LINEAR, slots.UNITARY))
+)
+def test_eL_series_total_sums_over_weight_vectors(kind, ell, e, a):
+    # at rank n = e * w + r every weight vector contributes p(e * principal
+    # + r), the unipotent characters of the principal factor, times one
+    # partition count per slot multiplicity
+    inv = slots.build_inventory(kind, ell, e, a)
+    for w in BRUTE_FORCE_WEIGHTS:
+        totals = [0] * e
+        for vec in slots.enumerate_weight_vectors(inv, w):
+            slot_term = 1
+            for occ in vec.mults:
+                for m in occ:
+                    slot_term *= partition_count(m)
+            for r in range(e):
+                totals[r] += partition_count(e * vec.principal + r) * slot_term
+        for r, total in enumerate(totals):
+            n = e * w + r
+            if n:
+                assert slots.eL_series_total(kind, n, e, a, ell, CountCache()) == total, n
 
 
 def test_proof_path_values():
@@ -303,7 +345,7 @@ def _convolve(a, b, cap):
     return out
 
 
-def _reference_twisted_series(inv, budget):
+def _reference_slot_fold(inv, budget):
     # the literal slot fold: one truncated convolution per slot
     series = [1] + [0] * budget
     for cls in inv.slot_classes(budget):
@@ -315,14 +357,14 @@ def _reference_twisted_series(inv, budget):
     return series
 
 
-def _reference_block_from(inv, twisted, w):
+def _reference_block_from(inv, slot_series, w):
     return sum(
-        multipartition_count(inv.weyl_base, u) * twisted[w - u] for u in range(w + 1)
+        multipartition_count(inv.weyl_base, u) * slot_series[w - u] for u in range(w + 1)
     )
 
 
 def _reference_block_count(inv, w):
-    return _reference_block_from(inv, _reference_twisted_series(inv, w), w)
+    return _reference_block_from(inv, _reference_slot_fold(inv, w), w)
 
 
 @st.composite
@@ -338,11 +380,11 @@ def _slot_profiles(draw):
     profile=_slot_profiles(),
     w=st.integers(0, 40),
 )
-def test_twisted_series_is_the_slot_fold(family, profile, w):
+def test_slot_product_is_the_slot_fold(family, profile, w):
     ell, d, a = profile
     inv = slots.build_inventory(family, ell, d, a)
-    expected = _reference_twisted_series(inv, w)
-    assert slots._twisted_series(inv, w, CountCache())[: w + 1] == expected
+    expected = _reference_slot_fold(inv, w)
+    assert slots._slot_product(inv, 0, w, CountCache())[: w + 1] == expected
     count = _reference_block_count(inv, w)
     assert slots.block_count_proof_path(family, ell, d, a, w, CountCache()) == count
     assert slots.block_count_proof_path(family, ell, d, a, w) == count
@@ -372,8 +414,9 @@ def _edge_budgets(ell):
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_slot_series_is_the_class_product_at_edge_budgets(ell, a):
     # every d, under both denominator rules (d, and 2d'); each budget is
-    # built on a fresh cache, so the fold starts its recursion there, and
-    # the block series then reads that slot series
+    # built on a fresh cache, so the fold starts its recursion there, for
+    # the slot classes alone and, in the block count, with the principal
+    # factor joined to their base power
     budgets = _edge_budgets(ell)
     top = budgets[-1]
     products = {}
@@ -385,7 +428,7 @@ def test_slot_series_is_the_class_product_at_edge_budgets(ell, a):
             expected = products[inv.denom]
             for budget in budgets:
                 cache = CountCache()
-                got = slots._twisted_series(inv, budget, cache)
+                got = slots._slot_product(inv, 0, budget, cache)
                 assert got[: budget + 1] == expected[: budget + 1], (family, d, budget)
                 count = _reference_block_from(inv, expected, budget)
                 assert slots.block_count_proof_path(
@@ -414,7 +457,7 @@ def test_slot_series_is_the_class_product_where_the_fold_packs(monkeypatch):
     for name in ("_extend_sigma", "_tuple_row", "multipartition_count"):
         monkeypatch.setattr(CountCache, name, refuse)
     for inv, budget, expected, count in cases:
-        assert slots._twisted_series(inv, budget, CountCache())[: budget + 1] == expected
+        assert slots._slot_product(inv, 0, budget, CountCache())[: budget + 1] == expected
         assert slots.block_count_proof_path(
             inv.family, inv.ell, inv.d, inv.a, budget, CountCache()
         ) == count
@@ -438,7 +481,7 @@ def test_slot_series_is_prefix_stable():
 
 
 def test_slot_path_reads_no_sigma_row(monkeypatch):
-    # the principal factor is P(x)**weyl_base, so neither the sigma table
+    # the principal factor joins the base power of P, so neither the sigma table
     # nor a coloured-partition row is touched; at w = 450 and ell = 3 the
     # stride-3 fold and the principal product go through the packed kernel
     expected = {
@@ -457,7 +500,7 @@ def test_slot_path_reads_no_sigma_row(monkeypatch):
         weight_family = blocks.WEIGHT_FAMILIES[family]
         inv = slots.build_inventory(weight_family, 3, 1, 1)
         cache = CountCache()
-        assert slots._twisted_series(inv, 450, cache)[:451] == _reference_twisted_series(inv, 450)
+        assert slots._slot_product(inv, 0, 450, cache)[:451] == _reference_slot_fold(inv, 450)
         assert slots.block_count_proof_path(weight_family, 3, 1, 1, 450, cache) == count
 
 
