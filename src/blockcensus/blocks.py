@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import slots
@@ -237,8 +238,10 @@ class BlockQuery:
             raise ValueError("g and m must be >= 0")
         if self.w is not None:
             _require_weight(self.w)
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.n is not None:
+            if self.n < 1:
+                raise ValueError("n must be >= 1")
+            _require_indexable("n", self.n)
         if self.w is not None and self.n is not None:
             if self.w * self.profile.dprime > self.n:
                 raise ValueError(
@@ -257,6 +260,14 @@ class BlockQuery:
 def _require_weight(w: int) -> None:
     if w < 0:
         raise ValueError("w must be >= 0")
+    _require_indexable("w", w)
+
+
+def _require_indexable(name: str, value: int) -> None:
+    # the tables a weight or rank reaches hold value + 1 entries, and no
+    # list holds more than sys.maxsize
+    if value >= sys.maxsize:
+        raise ValueError(f"{name} = {value} is too large to index a table")
 
 
 def _require_odd(profile: EllProfile) -> None:

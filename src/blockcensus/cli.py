@@ -15,6 +15,7 @@ failed bound, an oracle census that finds itself inconsistent).
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import blocks, oracle, tables
 from ._version import __version__
-from .counting import gmpn_irr_count, multipartition_count, p_ell
+from .counting import gmpn_irr_count, multipartition_count, p_ell, p_ell_row
 
 __all__ = ["main"]
 
@@ -330,16 +331,24 @@ def _defining_char_checks(data_dir) -> list[tuple[str, bool, str]]:
             f"{len(big)} systems with at least 5 excess positive roots",
         )
     )
-    b2 = tables.root_system("B2", data_dir=data_dir)
-    b2_ok = all(not tables.fg_margin(b2, q) for q in (2, 3, 4, 5)) and all(
-        tables.fg_margin(b2, q) for q in (6, 7, 8, 9)
-    )
-    results.append(
-        ("defining-char B2 crossover", b2_ok, "margin false through q=5, true from q=6")
-    )
-    a1 = tables.root_system("A1", data_dir=data_dir)
-    a1_ok = all(not tables.fg_margin(a1, q) for q in (2, 3, 5, 9, 101))
-    results.append(("defining-char A1 never clears", a1_ok, "rank-one margin"))
+    # the B2 and A1 rows come from the table already read; a data_dir file
+    # that lacks one fails its check
+    b2 = next((d for d in data if d.label == "B2"), None)
+    if b2 is None:
+        results.append(("defining-char B2 crossover", False, "no B2 row"))
+    else:
+        b2_ok = all(not tables.fg_margin(b2, q) for q in (2, 3, 4, 5)) and all(
+            tables.fg_margin(b2, q) for q in (6, 7, 8, 9)
+        )
+        results.append(
+            ("defining-char B2 crossover", b2_ok, "margin false through q=5, true from q=6")
+        )
+    a1 = next((d for d in data if d.label == "A1"), None)
+    if a1 is None:
+        results.append(("defining-char A1 never clears", False, "no A1 row"))
+    else:
+        a1_ok = all(not tables.fg_margin(a1, q) for q in (2, 3, 5, 9, 101))
+        results.append(("defining-char A1 never clears", a1_ok, "rank-one margin"))
     return results
 
 
@@ -454,16 +463,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _check_p_ell_bound(wmax: int) -> tuple[bool, str]:
+    # the cap ell**(u(u+1)/2) holds on ell**u <= w < ell**(u+1), with u = 0
+    # covering 1 <= w < ell; each prime's row is read once and each cap
+    # checked against its whole interval
     for ell in (2, 3, 5):
-        for w in range(1, wmax + 1):
-            u = 0
-            power = ell
-            while power <= w:
-                u += 1
-                power *= ell
+        values = p_ell_row(ell, wmax)
+        u, lo = 0, 1
+        while lo <= wmax:
+            hi = min(ell ** (u + 1), wmax + 1)
             cap = ell ** (u * (u + 1) // 2)
-            if p_ell(ell, w) > cap:
+            if max(values[lo:hi]) > cap:
+                w = next(w for w in range(lo, hi) if values[w] > cap)
                 return False, f"fails at ell={ell}, w={w}"
+            u, lo = u + 1, hi
     return True, f"ell in (2, 3, 5), w <= {wmax}"
 
 
@@ -475,15 +487,15 @@ def _check_two_ell(ary=(3, 5, 7)) -> tuple[bool, str]:
 
 
 def _check_convolution(nmax: int) -> tuple[bool, str]:
+    # k(s + s', n) against a schoolbook convolution of the rows k(s, .) and
+    # k(s', .); _mul_trunc, which builds the rows, stays out of the check
+    rows = {s: [multipartition_count(s, n) for n in range(nmax + 1)] for s in range(1, 13)}
     for s in range(1, 7):
+        left = rows[s]
         for s2 in range(1, 7):
+            right, total = rows[s2], rows[s + s2]
             for n in range(nmax + 1):
-                lhs = multipartition_count(s + s2, n)
-                rhs = sum(
-                    multipartition_count(s, t) * multipartition_count(s2, n - t)
-                    for t in range(n + 1)
-                )
-                if lhs != rhs:
+                if total[n] != sum(map(operator.mul, left[: n + 1], right[n::-1])):
                     return False, f"fails at s={s}, s'={s2}, n={n}"
     return True, f"colour splits up to 6+6, sizes up to {nmax}"
 

@@ -27,6 +27,7 @@ __all__ = [
     "multipartition_count",
     "ell_compositions",
     "p_ell",
+    "p_ell_row",
     "composition_sum",
     "k_ell_a_w",
     "val_factorial",
@@ -255,23 +256,28 @@ class CountCache:
         """Number of ways to write w as an ordered sum of ell-power levels.
 
         Counts the tuples (w0, w1, ...) with sum w_i * ell**i = w, equal to
-        the number of partitions of w into ell-power parts. Table recurrence:
-        drop to w - 1 unless ell divides w, in which case one extra family
-        arrives from w // ell.
+        the number of partitions of w into ell-power parts.
         """
+        return self._p_ell_table(ell, w)[w]
+
+    def p_ell_row(self, ell: int, w: int) -> list[int]:
+        """A new list holding p_ell(ell, 0..w), read from the same table."""
+        return self._p_ell_table(ell, w)[: w + 1]
+
+    def _p_ell_table(self, ell: int, w: int) -> list[int]:
+        """The p_ell table for ell, holding at least w + 1 entries. Table
+        recurrence: drop to w - 1 unless ell divides w, in which case one
+        extra family arrives from w // ell."""
         _require_prime(ell)
         if w < 0:
             raise ValueError("weight must be >= 0")
-        tab = self._ppower.get(ell)
-        if tab is not None and w < len(tab):
-            return tab[w]
         tab = self._ppower.setdefault(ell, [1])
         for n in range(len(tab), w + 1):
             val = tab[n - 1]
             if n % ell == 0:
                 val += tab[n // ell]
             tab.append(val)
-        return tab[w]
+        return tab
 
 
 def _online_row(
@@ -312,6 +318,10 @@ def multipartition_count(s: int, t: int, cache: CountCache | None = None) -> int
 
 def p_ell(ell: int, w: int, cache: CountCache | None = None) -> int:
     return (cache or shared_cache).p_ell(ell, w)
+
+
+def p_ell_row(ell: int, w: int, cache: CountCache | None = None) -> list[int]:
+    return (cache or shared_cache).p_ell_row(ell, w)
 
 
 def _compositions(value: int, ell: int):

@@ -11,6 +11,7 @@ the same names, used by tests to inject corrupted copies.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -87,10 +88,21 @@ def unipotent_count_entries(data_dir=None) -> tuple[tuple[str, int], ...]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _packaged_unipotent_count_entries() -> tuple[tuple[str, int], ...]:
+    # the packaged file cannot change while the program runs, so it is read
+    # once; a data_dir file is read afresh on every call
+    return unipotent_count_entries()
+
+
 def unipotent_count(label: str, data_dir=None) -> int:
     """Unipotent character count for one simple-type label; accepts either
     a single label like "E6" or "2D4" or a stored comma pair."""
-    for stored, count in unipotent_count_entries(data_dir):
+    if data_dir is None:
+        entries = _packaged_unipotent_count_entries()
+    else:
+        entries = unipotent_count_entries(data_dir)
+    for stored, count in entries:
         if label == stored or label in stored.split(","):
             return count
     raise KeyError(f"no unipotent count stored for label {label!r}")
@@ -256,8 +268,8 @@ def e8_series_bound_check(a: int, data_dir=None) -> bool:
         product *= total
     ok = ok and product <= 5 ** (8 * a)
     quotient = 5 ** (8 * a) // 5 ** (3 * a)
-    row = next(r for r in e8_isolated_rows(data_dir) if r.defect_coeff == 5)
-    ok = ok and quotient == 5 ** (5 * a) == e8_defect_order(row, a)
+    row = next((r for r in e8_isolated_rows(data_dir) if r.defect_coeff == 5), None)
+    ok = ok and row is not None and quotient == 5 ** (5 * a) == e8_defect_order(row, a)
     return ok
 
 

@@ -420,8 +420,9 @@ def test_sweep_error_rows_are_isolated():
 
 
 def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypatch):
-    # an OverflowError is an ArithmeticError raised by a weight too large to
-    # index a table; every other ArithmeticError is a fault in the program
+    # a weight too large to index a table is refused up front, and an
+    # OverflowError raised inside a count is a parameter error too; every
+    # other ArithmeticError is a fault in the program
     spec = SweepSpec(
         families=(blocks.GL,), ell_values=(3,), d_values=(1,), a_values=(1,),
         w_values=(1, 10**20),
@@ -443,6 +444,15 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
         blocks.ERROR,
     ]
     assert "division is not exact" in report.errors[0]
+    assert "w = 100000000000000000000 is too large to index a table" in report.errors[1]
+
+    def overflow(*args):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+    monkeypatch.setattr(slots, "block_count_proof_path", overflow)
+    report = sweep(spec, CountCache())
+    assert [r["verdict"] for r in report.rows] == [blocks.ERROR, blocks.ERROR]
+    assert not report.has_internal_mismatch()
 
 
 def test_sweep_jobs_deterministic():

@@ -196,8 +196,8 @@ def test_census_refuses_rank_zero_like_a_negative_rank(capsys):
     "family, flag", [("GL", "--w"), ("SLrange", "--n")], ids=["GL-w", "SLrange-n"]
 )
 def test_census_weight_too_large_to_index_is_an_error_row(capsys, family, flag):
-    # an OverflowError is an ArithmeticError, but a weight or rank past the
-    # index range is a parameter the program cannot take, not a fault in it
+    # a weight or rank past the index range is a parameter the program
+    # cannot take, not a fault in it, and the message names it
     code, out, err = run_cli(
         capsys, "census", "--family", family, "--ell", "3", "--d", "1",
         flag, str(10**20), "--strip-timestamp",
@@ -209,6 +209,7 @@ def test_census_weight_too_large_to_index_is_an_error_row(capsys, family, flag):
     errors = err.splitlines()
     assert len(errors) == 1
     assert errors[0].startswith(f"error: {family} row")
+    assert errors[0].endswith(f": {flag[2:]} = {10**20} is too large to index a table")
     assert "internal mismatch" not in err
 
 
@@ -394,6 +395,35 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "failed:" in err
 
 
+@pytest.mark.parametrize(
+    "filename, column, value, section, failed",
+    [
+        ("root_systems.tsv", 0, "B2", "defining-char", "defining-char B2 crossover: FAIL (no B2 row)"),
+        ("root_systems.tsv", 0, "A1", "defining-char", "defining-char A1 never clears: FAIL (no A1 row)"),
+        ("isolated_5blocks_e8.tsv", 4, "5", "E8-5blocks", "E8-5blocks series bound a=1: FAIL"),
+    ],
+    ids=["no-B2", "no-A1", "no-coefficient-5"],
+)
+def test_verify_missing_data_rows_fail_their_checks(
+    tmp_path, capsys, filename, column, value, section, failed
+):
+    # a data file without the rows a check looks up fails that check
+    # (exit 2) instead of raising out of the command
+    dest = tmp_path / "data"
+    shutil.copytree(DATA_DIR, dest)
+    path = dest / filename
+    lines = path.read_text().splitlines()
+    kept = [l for l in lines if l.startswith("#") or l.split("\t")[column] != value]
+    assert len(kept) < len(lines)
+    path.write_text("\n".join(kept) + "\n")
+    code, out, err = run_cli(
+        capsys, "verify-exceptional", "--table", section, "--data-dir", str(dest)
+    )
+    assert code == 2
+    assert failed in out
+    assert err.startswith("failed: ")
+
+
 @pytest.mark.parametrize("where", ["missing", "regular-file"])
 def test_verify_data_dir_not_a_directory(tmp_path, capsys, where):
     path = tmp_path / "data"
@@ -543,6 +573,120 @@ def test_bounds_battery(capsys):
     assert all(": PASS (" in l for l in lines)
     assert any(l.startswith("pair-count growth") for l in lines)
     assert any(l.startswith("boundary chain") for l in lines)
+
+
+# The per-value loops that the bounds battery ran before it read whole rows,
+# kept as references: the row-based checks must report what these report.
+
+
+def _reference_p_ell_bound(wmax, p_ell):
+    for ell in (2, 3, 5):
+        for w in range(1, wmax + 1):
+            u = 0
+            power = ell
+            while power <= w:
+                u += 1
+                power *= ell
+            cap = ell ** (u * (u + 1) // 2)
+            if p_ell(ell, w) > cap:
+                return False, f"fails at ell={ell}, w={w}"
+    return True, f"ell in (2, 3, 5), w <= {wmax}"
+
+
+def _reference_convolution(nmax, multipartition_count):
+    for s in range(1, 7):
+        for s2 in range(1, 7):
+            for n in range(nmax + 1):
+                lhs = multipartition_count(s + s2, n)
+                rhs = sum(
+                    multipartition_count(s, t) * multipartition_count(s2, n - t)
+                    for t in range(n + 1)
+                )
+                if lhs != rhs:
+                    return False, f"fails at s={s}, s'={s2}, n={n}"
+    return True, f"colour splits up to 6+6, sizes up to {nmax}"
+
+
+def _p_ell_cap(ell, w):
+    u = 0
+    while ell ** (u + 1) <= w:
+        u += 1
+    return ell ** (u * (u + 1) // 2)
+
+
+BOUND_WMAX = 700
+
+
+def _p_ell_points():
+    # w = 1, both sides of each interval start ell**u, mid-interval, w = wmax
+    points = set()
+    for ell in (2, 3, 5):
+        points |= {(ell, 1), (ell, BOUND_WMAX), (ell, BOUND_WMAX // 2 + 1)}
+        u = 1
+        while ell**u <= BOUND_WMAX:
+            start = ell**u
+            mid = (start + min(ell * start, BOUND_WMAX + 1)) // 2
+            points |= {(ell, start - 1), (ell, start), (ell, start + 1), (ell, mid)}
+            u += 1
+    return sorted((ell, w) for ell, w in points if 1 <= w <= BOUND_WMAX)
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at-cap", "over-cap"])
+@pytest.mark.parametrize("ell, w", _p_ell_points())
+def test_p_ell_bound_rows_report_what_the_value_loop_reported(monkeypatch, ell, w, excess):
+    # one entry set to its interval's cap (no violation) or one above it
+    rows = {e: cli.p_ell_row(e, BOUND_WMAX) for e in (2, 3, 5)}
+    rows[ell][w] = _p_ell_cap(ell, w) + excess
+    expected = _reference_p_ell_bound(BOUND_WMAX, lambda e, v: rows[e][v])
+    monkeypatch.setattr(cli, "p_ell_row", lambda e, v: rows[e][: v + 1])
+    assert cli._check_p_ell_bound(BOUND_WMAX) == expected
+    assert expected == (
+        (False, f"fails at ell={ell}, w={w}") if excess else (True, f"ell in (2, 3, 5), w <= {BOUND_WMAX}")
+    )
+
+
+@pytest.mark.parametrize("wmax", [1, 2, 4, 5, 24, 25, 26, 700])
+def test_p_ell_bound_rows_match_the_value_loop_on_the_true_values(wmax):
+    assert cli._check_p_ell_bound(wmax) == _reference_p_ell_bound(wmax, cli.p_ell) == (
+        True,
+        f"ell in (2, 3, 5), w <= {wmax}",
+    )
+
+
+def test_p_ell_bound_names_the_first_of_several_violations(monkeypatch):
+    # the first violation of an interval need not be its largest value
+    rows = {e: cli.p_ell_row(e, BOUND_WMAX) for e in (2, 3, 5)}
+    for ell, w in [(3, 400), (3, 200), (5, 2)]:
+        rows[ell][w] += 10**9
+    rows[3][100] = _p_ell_cap(3, 100) + 1
+    expected = _reference_p_ell_bound(BOUND_WMAX, lambda e, v: rows[e][v])
+    monkeypatch.setattr(cli, "p_ell_row", lambda e, v: rows[e][: v + 1])
+    assert cli._check_p_ell_bound(BOUND_WMAX) == expected == (False, "fails at ell=3, w=100")
+
+
+CONVOLUTION_NMAX = 16
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("s0", [1, 2, 5, 6, 7, 12])
+@pytest.mark.parametrize("n0", [0, 1, 9, CONVOLUTION_NMAX])
+def test_convolution_rows_report_what_the_value_loop_reported(monkeypatch, s0, n0, delta):
+    true_count = cli.multipartition_count
+
+    def perturbed(s, n):
+        return true_count(s, n) + (delta if (s, n) == (s0, n0) else 0)
+
+    expected = _reference_convolution(CONVOLUTION_NMAX, perturbed)
+    monkeypatch.setattr(cli, "multipartition_count", perturbed)
+    assert cli._check_convolution(CONVOLUTION_NMAX) == expected
+    assert expected[0] is False
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 30])
+def test_convolution_rows_match_the_value_loop_on_the_true_values(nmax):
+    assert cli._check_convolution(nmax) == _reference_convolution(
+        nmax, cli.multipartition_count
+    ) == (True, f"colour splits up to 6+6, sizes up to {nmax}")
 
 
 @pytest.mark.parametrize(

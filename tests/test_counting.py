@@ -20,6 +20,7 @@ from blockcensus.counting import (
     k_ell_a_w,
     multipartition_count,
     p_ell,
+    p_ell_row,
     partition_count,
     val_factorial,
 )
@@ -121,6 +122,38 @@ def test_p_ell_values():
     assert [p_ell(3, w) for w in range(7)] == [1, 1, 1, 2, 2, 2, 3]
     for ell in (3, 5, 7):
         assert p_ell(ell, 2 * ell) == 3
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("w", [0, 1, 6, 49, 250])
+def test_p_ell_row_is_the_p_ell_values(ell, w):
+    expected = [CountCache().p_ell(ell, v) for v in range(w + 1)]
+    assert CountCache().p_ell_row(ell, w) == expected
+    grown = CountCache()
+    grown.p_ell(ell, 3 * w + 7)
+    assert grown.p_ell_row(ell, w) == expected
+    assert p_ell_row(ell, w, grown) == expected
+
+
+def test_p_ell_row_is_a_copy():
+    cache = CountCache()
+    row = cache.p_ell_row(3, 30)
+    before = [cache.p_ell(3, v) for v in range(41)]
+    row[:] = [-1] * len(row)
+    row.append(-1)
+    assert [cache.p_ell(3, v) for v in range(41)] == before
+    assert cache.p_ell_row(3, 30) == before[:31]
+
+
+@pytest.mark.parametrize("ell, w", [(4, 3), (1, 3), (0, 0), (3, -1), (2, -5)])
+def test_p_ell_row_rejects_what_p_ell_rejects(ell, w):
+    cache = CountCache()
+    with pytest.raises(ValueError):
+        cache.p_ell(ell, w)
+    with pytest.raises(ValueError):
+        cache.p_ell_row(ell, w)
+    with pytest.raises(ValueError):
+        p_ell_row(ell, w)
 
 
 @settings(max_examples=30, deadline=None)

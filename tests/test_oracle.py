@@ -613,7 +613,9 @@ def test_oracle_answers_never_call_counting_or_slots(monkeypatch):
             monkeypatch.setattr(counting.CountCache, name, refuse)
     banned = [
         getattr(counting, name)
-        for name in ("partition_count", "multipartition_count", "p_ell", "composition_sum")
+        for name in (
+            "partition_count", "multipartition_count", "p_ell", "p_ell_row", "composition_sum"
+        )
     ] + [
         getattr(slots, name)
         for name in ("block_count_proof_path", "eL_series_total", "_slot_product")

@@ -1,4 +1,5 @@
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,42 @@ def test_unipotent_count_alias_lookup():
     assert tables.unipotent_count("E8") == 166
     with pytest.raises(KeyError):
         tables.unipotent_count("H4")
+
+
+def test_verify_exceptional_parses_the_packaged_counts_once(monkeypatch, tmp_path, capsys):
+    from blockcensus import cli
+
+    reads = Counter()
+    read_table = tables._read_table
+
+    def counting_read(filename, data_dir=None):
+        reads[filename, data_dir is None] += 1
+        return read_table(filename, data_dir)
+
+    monkeypatch.setattr(tables, "_read_table", counting_read)
+    tables._packaged_unipotent_count_entries.cache_clear()
+    assert cli.main(["verify-exceptional"]) == 0
+    assert reads["unipotent_counts.tsv", True] == 1
+    assert reads["root_systems.tsv", True] == 1
+    # the packaged counts stay the ground truth under --data-dir, and
+    # their parse is not repeated
+    reads.clear()
+    assert cli.main(["verify-exceptional", "--data-dir", str(_copied_data(tmp_path))]) == 0
+    assert reads["unipotent_counts.tsv", True] == 0
+    assert reads["unipotent_counts.tsv", False] == 0
+    assert reads["class_e6_l3.tsv", False] == 1
+    assert reads["root_systems.tsv", False] == 1
+    capsys.readouterr()
+
+
+def test_unipotent_count_rereads_a_data_dir_file(tmp_path):
+    dest = _copied_data(tmp_path)
+    path = dest / "unipotent_counts.tsv"
+    assert tables.unipotent_count("E8", data_dir=dest) == 166
+    path.write_text(path.read_text().replace("E8\t166", "E8\t167"))
+    assert tables.unipotent_count("E8", data_dir=dest) == 167
+    assert dict(tables.unipotent_count_entries(dest))["E8"] == 167
+    assert tables.unipotent_count("E8") == 166
 
 
 def test_list_class_tables():
