@@ -1,123 +1,10 @@
 """Exact character counts for blocks of finite classical groups at odd
 primes, with defect-group comparisons, series bounds, brute-force oracles
-on tiny groups, and static verification tables for exceptional types."""
+on tiny groups, and static verification tables for exceptional types.
+
+The package root exports only __version__; the API is the modules:
+counting, slots, blocks, tables, oracle and cli."""
 
 from ._version import __version__
-from .blocks import (
-    EXACT,
-    FAMILIES,
-    HOLDS_EQUALITY_ABELIAN,
-    HOLDS_NONSTRICT,
-    HOLDS_STRICT,
-    INCONCLUSIVE_UPPER_BOUND,
-    UPPER_BOUND,
-    VERDICTS,
-    VIOLATION,
-    BlockInvariants,
-    BlockQuery,
-    CensusReport,
-    EllProfile,
-    SweepSpec,
-    block_invariants,
-    bound_thm_slnproof,
-    defect_exponent,
-    ell_profile,
-    ennola_profile,
-    enumerate_unipotent_blocks_linear,
-    k_principal_pslell,
-    k_principal_slrange,
-    k_unipotent_block,
-    spec_hash,
-    sweep,
-)
-from .counting import (
-    CountCache,
-    composition_sum,
-    d_core_count,
-    ell_compositions,
-    gmpn_irr_count,
-    k_ell_a_w,
-    multipartition_count,
-    p_ell,
-    partition_count,
-    shared_cache,
-    val_factorial,
-)
-from .slots import (
-    SlotInventory,
-    WeightVector,
-    block_count_proof_path,
-    build_inventory,
-    centralizer_shape,
-    eL_series_total,
-    enumerate_weight_vectors,
-)
-from .tables import (
-    average_check,
-    class_table,
-    e8_defect_order,
-    e8_isolated_rows,
-    e8_series_bound_check,
-    fg_margin,
-    root_system,
-    unipotent_count,
-)
 
-__all__ = [
-    "__version__",
-    # counting
-    "CountCache",
-    "shared_cache",
-    "partition_count",
-    "multipartition_count",
-    "p_ell",
-    "ell_compositions",
-    "composition_sum",
-    "k_ell_a_w",
-    "val_factorial",
-    "d_core_count",
-    "gmpn_irr_count",
-    # slots
-    "SlotInventory",
-    "WeightVector",
-    "build_inventory",
-    "enumerate_weight_vectors",
-    "centralizer_shape",
-    "block_count_proof_path",
-    "eL_series_total",
-    # blocks
-    "FAMILIES",
-    "VERDICTS",
-    "EXACT",
-    "UPPER_BOUND",
-    "HOLDS_STRICT",
-    "HOLDS_EQUALITY_ABELIAN",
-    "HOLDS_NONSTRICT",
-    "VIOLATION",
-    "INCONCLUSIVE_UPPER_BOUND",
-    "EllProfile",
-    "BlockQuery",
-    "BlockInvariants",
-    "SweepSpec",
-    "CensusReport",
-    "ell_profile",
-    "ennola_profile",
-    "k_unipotent_block",
-    "k_principal_slrange",
-    "k_principal_pslell",
-    "defect_exponent",
-    "block_invariants",
-    "bound_thm_slnproof",
-    "enumerate_unipotent_blocks_linear",
-    "sweep",
-    "spec_hash",
-    # tables
-    "unipotent_count",
-    "class_table",
-    "average_check",
-    "e8_isolated_rows",
-    "e8_defect_order",
-    "e8_series_bound_check",
-    "root_system",
-    "fg_margin",
-]
+__all__ = ["__version__"]

@@ -20,7 +20,6 @@ from .counting import (
     CountCache,
     colour_counts,
     composition_sum,
-    d_core_count,
     exact_div,
     is_prime,
     k_ell_a_w,
@@ -127,7 +126,6 @@ __all__ = [
     "is_abelian_defect",
     "verdict",
     "bound_thm_slnproof",
-    "enumerate_unipotent_blocks_linear",
     "block_invariants",
     "SweepSpec",
     "CensusReport",
@@ -415,23 +413,6 @@ def bound_thm_slnproof(
             continue
         total += p_ell(ell, n // step, cache) * ell ** (a * (n // step) + 2 * i)
     return exact_div(total, ell**a)
-
-
-def enumerate_unipotent_blocks_linear(
-    n: int, d: int, cache: CountCache | None = None
-) -> list[tuple[int, int]]:
-    """Weights of the unipotent blocks of a rank-n linear group with order
-    parameter d, with multiplicities given by the d-core counts of the
-    leftover rank. Emitted in descending weight, zero multiplicities
-    dropped."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    out = []
-    for w in range(n // d, -1, -1):
-        mult = d_core_count(n - w * d, d, cache)
-        if mult:
-            out.append((w, mult))
-    return out
 
 
 @dataclass(frozen=True)

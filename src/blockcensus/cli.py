@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     census.add_argument("--config", metavar="PATH")
     census.add_argument("--format", choices=("csv", "json", "md"), default=None)
     census.add_argument("--out", metavar="PATH")
-    census.add_argument("--jobs", type=int, default=None, help="ignored; rows run serially")
+    census.add_argument("--jobs", type=int, default=None, help="deprecated and ignored")
     census.add_argument("--strip-timestamp", action="store_true")
     census.add_argument(
         "--no-two-path",
@@ -198,6 +198,11 @@ def _cmd_census(args) -> int:
         raise CliError(f"unknown format {fmt!r}")
     if _single_value(args.jobs, config, "jobs", 1, int) < 1:
         raise CliError("jobs must be >= 1")
+    if args.jobs is not None or "jobs" in config:
+        print(
+            "warning: --jobs and the jobs config key are ignored and will be removed",
+            file=sys.stderr,
+        )
     timestamp = (
         None
         if args.strip_timestamp
@@ -309,7 +314,7 @@ def _e8_checks(data_dir) -> list[tuple[str, bool, str]]:
         ("E8-5blocks defect orders at a=1", spot_ok, "orders 5^9 / 5^5 / 5^4")
     )
     for a in (1, 2):
-        ok = tables.e8_series_bound_check(a, data_dir=data_dir)
+        ok = tables.e8_series_bound_check(a, rows)
         results.append(
             (f"E8-5blocks series bound a={a}", ok, "product bound vs defect order")
         )

@@ -25,7 +25,6 @@ __all__ = [
     "is_prime",
     "partition_count",
     "multipartition_count",
-    "ell_compositions",
     "p_ell",
     "p_ell_row",
     "composition_sum",
@@ -322,31 +321,6 @@ def p_ell(ell: int, w: int, cache: CountCache | None = None) -> int:
 
 def p_ell_row(ell: int, w: int, cache: CountCache | None = None) -> list[int]:
     return (cache or shared_cache).p_ell_row(ell, w)
-
-
-def _compositions(value: int, ell: int):
-    # value > 0; emits tuples with a nonzero last entry, lexicographically.
-    for head in range(value % ell, value + 1, ell):
-        rest = (value - head) // ell
-        if rest == 0:
-            yield (head,)
-        else:
-            for tail in _compositions(rest, ell):
-                yield (head,) + tail
-
-
-def ell_compositions(ell: int, w: int) -> list[tuple[int, ...]]:
-    """All tuples (w0, w1, ...) with sum w_i * ell**i = w.
-
-    Entries are >= 0, the trailing entry (if any) is nonzero, and the list is
-    sorted lexicographically. The weight 0 has exactly the empty composition.
-    """
-    _require_prime(ell)
-    if w < 0:
-        raise ValueError("weight must be >= 0")
-    if w == 0:
-        return [()]
-    return list(_compositions(w, ell))
 
 
 def composition_sum(

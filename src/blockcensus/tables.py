@@ -250,13 +250,15 @@ def e8_defect_order(row: E8IsolatedRow, a: int) -> int:
     return 5 ** (row.defect_coeff * a + row.defect_const)
 
 
-def e8_series_bound_check(a: int, data_dir=None) -> bool:
+def e8_series_bound_check(a: int, rows) -> bool:
     """The product bound behind the unnumbered rows: character totals of
     the rank 6, 3, 2 unitary factors are bounded by 5**(4a), 5**(2a),
     5**(2a), the product stays under 5**(8a), and dividing out the index
     5**(3a) lands exactly on the defect order 5**(5a) stored with the
     coefficient-5 rows. The twisted order parameter is 2 because the cases
-    in question have field size congruent to 1 mod 5."""
+    in question have field size congruent to 1 mod 5. rows are the
+    isolated 5-block rows, as e8_isolated_rows returns them; without a
+    coefficient-5 row the check fails."""
     if a < 1:
         raise ValueError("a must be >= 1")
     bounds = ((6, 4), (3, 2), (2, 2))
@@ -268,7 +270,7 @@ def e8_series_bound_check(a: int, data_dir=None) -> bool:
         product *= total
     ok = ok and product <= 5 ** (8 * a)
     quotient = 5 ** (8 * a) // 5 ** (3 * a)
-    row = next((r for r in e8_isolated_rows(data_dir) if r.defect_coeff == 5), None)
+    row = next((r for r in rows if r.defect_coeff == 5), None)
     ok = ok and row is not None and quotient == 5 ** (5 * a) == e8_defect_order(row, a)
     return ok
 

@@ -212,7 +212,7 @@ def test_criterion_13_e8_defect_orders():
                     assert order == 5 ** (5 * a)
                 else:
                     assert order == 5 ** (4 * a)
-            assert tables.e8_series_bound_check(a)
+            assert tables.e8_series_bound_check(a, rows)
             assert 5 ** (8 * a) // 5 ** (3 * a) == 5 ** (5 * a)
 
 

@@ -15,7 +15,6 @@ from blockcensus.blocks import (
     defect_exponent,
     ell_profile,
     ennola_profile,
-    enumerate_unipotent_blocks_linear,
     is_abelian_defect,
     k_principal_pslell,
     k_principal_slrange,
@@ -27,7 +26,6 @@ from blockcensus.blocks import (
 )
 from blockcensus.counting import (
     CountCache,
-    d_core_count,
     exact_div,
     is_prime,
     k_ell_a_w,
@@ -353,17 +351,6 @@ def test_boundary_case_chain():
         assert exact <= mid < ell ** (a * (ell - 1) + 1)
 
 
-def test_enumerate_unipotent_blocks_linear():
-    assert enumerate_unipotent_blocks_linear(3, 2) == [(1, 1), (0, 1)]
-    assert enumerate_unipotent_blocks_linear(2, 1) == [(2, 1)]
-    pairs = enumerate_unipotent_blocks_linear(6, 3)
-    assert pairs[0][0] == 2
-    for w, mult in pairs:
-        assert mult == d_core_count(6 - 3 * w, 3)
-    with pytest.raises(ValueError):
-        enumerate_unipotent_blocks_linear(0, 1)
-
-
 def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="empty"):
         SweepSpec(families=(), ell_values=(3,)).validate()
@@ -455,17 +442,24 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
     assert not report.has_internal_mismatch()
 
 
-def test_sweep_jobs_deterministic():
+def test_sweep_report_does_not_depend_on_cache_state():
+    # the cache tables are prefix-stable, so a cache already grown past the
+    # sweep's weights gives the same report as a fresh one
     spec = SweepSpec(
         families=(blocks.GL, blocks.SP, blocks.PSLELL),
         ell_values=(3, 5),
         a_values=(1, 2),
         w_values=(0, 1, 2, 3),
     )
-    serial = sweep(spec)
-    parallel = sweep(spec)
-    assert serial.to_csv() == parallel.to_csv()
-    assert serial.to_json() == parallel.to_json()
+    grown = CountCache()
+    sweep(
+        SweepSpec(families=spec.families, ell_values=(3, 5), a_values=(1, 2), w_values=(40,)),
+        grown,
+    )
+    fresh = sweep(spec, CountCache())
+    reused = sweep(spec, grown)
+    assert fresh.to_csv() == reused.to_csv()
+    assert fresh.to_json() == reused.to_json()
 
 
 def test_sweep_starts_no_thread(monkeypatch):

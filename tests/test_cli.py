@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -138,16 +139,47 @@ def test_census_out_unwritable_is_a_parameter_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
+JOBS_WARNING = "warning: --jobs and the jobs config key are ignored and will be removed\n"
+
+
 def test_census_jobs_deterministic(capsys):
     args = (
         "census", "--family", "GL,Sp,PSLell", "--ell", "3,5", "--a", "1,2",
         "--w", "0..3", "--strip-timestamp",
     )
-    code, serial, _ = run_cli(capsys, *args, "--jobs", "1")
+    code, plain, plain_err = run_cli(capsys, *args)
     assert code == 0
-    code, parallel, _ = run_cli(capsys, *args, "--jobs", "4")
+    code, with_jobs, jobs_err = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
-    assert serial == parallel
+    # --jobs is accepted, ignored and deprecated on one stderr line
+    assert with_jobs == plain
+    assert plain_err == ""
+    assert jobs_err == JOBS_WARNING
+
+
+def test_census_jobs_config_key_is_deprecated(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = GL\nell = 3\nw = 0..2\njobs = 2\n")
+    code, out, err = run_cli(capsys, "census", "--config", str(cfg), "--strip-timestamp")
+    assert code == 0
+    assert err == JOBS_WARNING
+    code, both, err = run_cli(
+        capsys, "census", "--config", str(cfg), "--jobs", "3", "--strip-timestamp"
+    )
+    assert code == 0
+    assert both == out
+    assert err == JOBS_WARNING
+
+
+def test_census_jobs_must_be_positive(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--family", "GL", "--ell", "3", "--w", "1", "--jobs", "0"
+    )
+    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = GL\nell = 3\nw = 1\njobs = 0\n")
+    code, out, err = run_cli(capsys, "census", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
 
 
 def test_census_profile_mismatch_at_a_large_prime(capsys):
@@ -742,3 +774,30 @@ def test_short_products_never_load_decimal():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[False, False, True]"
+
+
+def test_package_root_loads_only_the_version():
+    # the root exports only __version__, so importing it loads no layer
+    script = (
+        "import sys\n"
+        "import blockcensus\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'blockcensus'))\n"
+        "print(blockcensus.__all__)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "['blockcensus', 'blockcensus._version']",
+        "['__version__']",
+    ]
+
+
+@pytest.mark.parametrize("layer", ["counting", "slots", "blocks", "oracle", "tables", "cli"])
+def test_every_public_name_resolves(layer):
+    # the benchmark tracer getattrs each __all__ entry, so a stale one
+    # would crash a traced run
+    module = importlib.import_module(f"blockcensus.{layer}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

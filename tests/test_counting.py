@@ -13,7 +13,6 @@ from blockcensus.counting import (
     _mul_trunc,
     composition_sum,
     d_core_count,
-    ell_compositions,
     exact_div,
     gmpn_irr_count,
     is_prime,
@@ -167,24 +166,30 @@ def test_p_ell_power_bound(ell, w):
     assert p_ell(ell, w) <= ell ** (u * (u + 1) // 2)
 
 
-def test_ell_compositions_rejects_composites():
-    with pytest.raises(ValueError):
-        ell_compositions(9, 3)
-    with pytest.raises(ValueError):
-        ell_compositions(1, 3)
+def _ell_compositions(ell, w):
+    # the literal reference for composition_sum: all tuples (w0, w1, ...)
+    # with sum w_i * ell**i = w, trailing entry nonzero, sorted
+    # lexicographically; the weight 0 has exactly the empty composition
+    if w == 0:
+        return [()]
+    return [
+        (head,) + tail
+        for head in range(w % ell, w + 1, ell)
+        for tail in _ell_compositions(ell, (w - head) // ell)
+    ]
 
 
 def test_ell_compositions_allows_two():
-    # the composition layer works at 2; only the block sums are odd-only
-    assert ell_compositions(2, 3) == [(1, 1), (3,)]
-    assert ell_compositions(3, 3) == [(0, 1), (3,)]
-    assert ell_compositions(3, 2) == [(2,)]
+    # the reference works at 2; only the block sums are odd-only
+    assert _ell_compositions(2, 3) == [(1, 1), (3,)]
+    assert _ell_compositions(3, 3) == [(0, 1), (3,)]
+    assert _ell_compositions(3, 2) == [(2,)]
 
 
 def test_ell_compositions_listing():
-    assert ell_compositions(3, 0) == [()]
-    assert ell_compositions(3, 4) == [(1, 1), (4,)]
-    comps6 = ell_compositions(3, 6)
+    assert _ell_compositions(3, 0) == [()]
+    assert _ell_compositions(3, 4) == [(1, 1), (4,)]
+    comps6 = _ell_compositions(3, 6)
     # trailing entries nonzero, head determined mod ell, lexicographic
     assert comps6 == [(0, 2), (3, 1), (6,)]
     for comp in comps6:
@@ -196,14 +201,14 @@ def test_ell_compositions_listing():
 @settings(max_examples=40, deadline=None)
 @given(ell=st.sampled_from([3, 5, 7]), w=st.integers(0, 30))
 def test_ell_composition_count_is_p_ell(ell, w):
-    assert len(ell_compositions(ell, w)) == p_ell(ell, w)
+    assert len(_ell_compositions(ell, w)) == p_ell(ell, w)
 
 
 def test_composition_sum_matches_direct_expansion():
     total = composition_sum(3, 3, 2, 6)
     by_hand = sum(
         multipartition_count(3, comp[0]) * _tail_product(comp)
-        for comp in ell_compositions(3, 6)
+        for comp in _ell_compositions(3, 6)
     )
     assert total == by_hand
 
@@ -218,7 +223,7 @@ def _tail_product(comp):
 def _composition_walk(ell, head_colours, tail_colours, w):
     # the defining sum, one term per ell-composition of w
     total = 0
-    for comp in ell_compositions(ell, w):
+    for comp in _ell_compositions(ell, w):
         term = multipartition_count(head_colours, comp[0] if comp else 0)
         for wi in comp[1:]:
             term *= multipartition_count(tail_colours, wi)

@@ -59,6 +59,7 @@ def test_verify_exceptional_parses_the_packaged_counts_once(monkeypatch, tmp_pat
     assert cli.main(["verify-exceptional"]) == 0
     assert reads["unipotent_counts.tsv", True] == 1
     assert reads["root_systems.tsv", True] == 1
+    assert reads["isolated_5blocks_e8.tsv", True] == 1
     # the packaged counts stay the ground truth under --data-dir, and
     # their parse is not repeated
     reads.clear()
@@ -67,6 +68,8 @@ def test_verify_exceptional_parses_the_packaged_counts_once(monkeypatch, tmp_pat
     assert reads["unipotent_counts.tsv", False] == 0
     assert reads["class_e6_l3.tsv", False] == 1
     assert reads["root_systems.tsv", False] == 1
+    assert reads["isolated_5blocks_e8.tsv", False] == 1
+    assert reads["isolated_5blocks_e8.tsv", True] == 0
     capsys.readouterr()
 
 
@@ -235,10 +238,11 @@ def test_e8_defect_orders():
 
 
 def test_e8_series_bound():
-    assert tables.e8_series_bound_check(1)
-    assert tables.e8_series_bound_check(2)
+    rows = tables.e8_isolated_rows()
+    assert tables.e8_series_bound_check(1, rows)
+    assert tables.e8_series_bound_check(2, rows)
     with pytest.raises(ValueError):
-        tables.e8_series_bound_check(0)
+        tables.e8_series_bound_check(0, rows)
 
 
 def test_root_systems():
