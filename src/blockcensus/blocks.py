@@ -7,6 +7,7 @@ ranges into a deterministic report.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -135,7 +136,9 @@ __all__ = [
 
 
 def valuation(ell: int, n: int) -> int:
-    """Exponent of the largest power of ell dividing n (n nonzero)."""
+    """Exponent of the largest power of ell dividing n (ell >= 2, n nonzero)."""
+    if ell < 2:
+        raise ValueError(f"valuation needs ell >= 2, got {ell}")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     n = abs(n)
@@ -281,28 +284,17 @@ def exactness_for(family: str) -> str:
 
 def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int:
     """Number of ordinary irreducible characters in the weight-w unipotent
-    block of the given family.
-
-    Head colour count is denom + (ell**a - 1)/denom and tail colour count
-    (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
-    path shares denom, so the two-path check cannot test it (test_slots pins
-    it). The result is exact except for the even special orthogonal groups,
-    where it is only an upper bound (see exactness_for).
+    block of the given family, after the same profile checks as
+    block_invariants (see _weight_group for the colour counts). The result
+    is exact except for the even special orthogonal groups, where it is
+    only an upper bound (see exactness_for).
     """
     if query.family not in WEIGHT_FAMILIES:
         raise ValueError(f"family {query.family!r} is not weight-addressed")
     if query.w is None:
         raise ValueError("weight-addressed query needs w")
-    profile = query.profile
-    _require_odd(profile)
-    head, tail = _colour_counts(query.family, profile)
-    return composition_sum(profile.ell, head, tail, query.w, cache)
-
-
-def _colour_counts(family: str, profile: EllProfile) -> tuple[int, int]:
-    """The head and tail colour counts of k_unipotent_block."""
-    denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
-    return colour_counts(profile.ell, profile.a, denom)
+    head, tail = _weight_group(query.family, query.profile)
+    return composition_sum(query.profile.ell, head, tail, query.w, cache)
 
 
 def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> int:
@@ -437,34 +429,37 @@ def _check_profile_consistency(family: str, profile: EllProfile) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _WeightGroup:
-    """What every weight of one weight-family block shares: the checked
-    profile and the two colour counts."""
-
-    family: str
-    profile: EllProfile
-    head: int
-    tail: int
-
-
-def _weight_group(family: str, profile: EllProfile) -> _WeightGroup:
+@functools.lru_cache(maxsize=None)
+def _weight_group(family: str, profile: EllProfile) -> tuple[int, int]:
     """The per-group step of block_invariants for a weight family: the
-    checks and colour counts that do not depend on w."""
+    checks that do not depend on w, then the head and tail colour counts
+    (head, tail), memoised like slots.build_inventory. A failing check
+    raises again on every call, since lru_cache stores no exception.
+
+    Head colour count is denom + (ell**a - 1)/denom and tail colour count
+    (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
+    path shares denom, so the two-path check cannot test it (test_slots pins
+    it)."""
     _require_odd(profile)
     _check_profile_consistency(family, profile)
-    head, tail = _colour_counts(family, profile)
-    return _WeightGroup(family, profile, head, tail)
+    denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
+    return colour_counts(profile.ell, profile.a, denom)
 
 
 def _weight_step(
-    group: _WeightGroup, w: int, cache: CountCache, check_two_path: bool
+    family: str,
+    profile: EllProfile,
+    colours: tuple[int, int],
+    w: int,
+    cache: CountCache,
+    check_two_path: bool,
 ) -> tuple[int, int, bool, str, bool]:
     """The per-weight step of block_invariants for a weight family at
-    w >= 0: (k_B, defect exponent, abelian, verdict, two_path_checked)."""
-    family, profile = group.family, group.profile
+    w >= 0, given its _weight_group colour counts: (k_B, defect exponent,
+    abelian, verdict, two_path_checked)."""
     ell, a = profile.ell, profile.a
-    k = composition_sum(ell, group.head, group.tail, w, cache)
+    head, tail = colours
+    k = composition_sum(ell, head, tail, w, cache)
     two_path_checked = False
     if check_two_path:
         other = slots.block_count_proof_path(
@@ -498,11 +493,11 @@ def block_invariants(
     family = query.family
     profile = query.profile
     if family in WEIGHT_FAMILIES:
-        group = _weight_group(family, profile)
+        colours = _weight_group(family, profile)
         if query.w is None:
             raise ValueError("weight-addressed query needs w")
         k, exp, abelian, result, two_path_checked = _weight_step(
-            group, query.w, cache, check_two_path
+            family, profile, colours, query.w, cache, check_two_path
         )
         return BlockInvariants(
             k, exactness_for(family), exp, abelian, result, two_path_checked
@@ -729,53 +724,30 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
     return ERROR, str(exc)
 
 
-def _sweep_group(
-    family: str, ell: int, d: int, a: int, q: int | None
-) -> tuple[tuple[str, str] | None, tuple[str, str] | None, _WeightGroup | None]:
-    """The per-group step for the sweep rows of one weight family at
-    (ell, d, a, q), as (profile failure, setup failure, group). A row meets
-    them in the order block_invariants does: the profile, then the row's
-    own w, then the _weight_group checks."""
-    try:
-        profile = EllProfile(ell, d, a, q)
-    except Exception as exc:
-        return _row_failure(exc), None, None
-    try:
-        return None, None, _weight_group(family, profile)
-    except Exception as exc:
-        return None, _row_failure(exc), None
+# The profile of a sweep row, memoised per (ell, d, a, q) like
+# _weight_group; a profile that does not validate raises on every call.
+_sweep_profile = functools.lru_cache(maxsize=None)(EllProfile)
 
 
 def _weight_row(
-    param: dict, groups: dict, cache: CountCache, check_two_path: bool
+    param: dict, cache: CountCache, check_two_path: bool
 ) -> tuple[dict, str | None]:
-    """One weight-family sweep row and its error message, if any. groups
-    maps (family, ell, d, a, q) to its _sweep_group result, filled on the
-    group's first row."""
+    """One weight-family sweep row and its error message, if any. The row
+    meets the checks in the order block_invariants does: the profile, then
+    the row's own w, then the _weight_group checks. Neither memo stores a
+    failure, so every row of a failing group gets the same message."""
     family, w = param["family"], param["w"]
-    key = (family, param["ell"], param["d"], param["a"], param["q"])
-    if key not in groups:
-        groups[key] = _sweep_group(*key)
-    failure, setup_failure, group = groups[key]
-    if failure is None:
-        try:
-            _require_weight(w)
-        except ValueError as exc:
-            failure = _row_failure(exc)
-        else:
-            failure = setup_failure
-    if failure is None:
-        try:
-            k, exp, abelian, result, two_path_checked = _weight_step(
-                group, w, cache, check_two_path
-            )
-        except Exception as exc:
-            failure = _row_failure(exc)
-    if failure is None:
+    try:
+        profile = _sweep_profile(param["ell"], param["d"], param["a"], param["q"])
+        _require_weight(w)
+        colours = _weight_group(family, profile)
+        k, exp, abelian, result, two_path_checked = _weight_step(
+            family, profile, colours, w, cache, check_two_path
+        )
         exactness, message = exactness_for(family), None
-    else:
+    except Exception as exc:
         k = exactness = exp = abelian = two_path_checked = None
-        result, text = failure
+        result, text = _row_failure(exc)
         message = f"{family} row {param}: {text}"
     row = {
         "family": family,
@@ -812,7 +784,7 @@ def _principal_row(
         g=param.get("g"),
     )
     try:
-        profile = EllProfile(param["ell"], param["d"], param["a"], param.get("q"))
+        profile = _sweep_profile(param["ell"], param["d"], param["a"], param.get("q"))
         if family == PSLELL:
             query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
             row.update(g=profile.a, m=1)
@@ -855,10 +827,11 @@ def sweep(
     errors in SweepSpec.row_params order.
 
     The rows of a weight family that share (ell, d, a, q) differ only in w:
-    the profile checks and colour counts of block_invariants run once for
-    each such group, and its per-weight step once per row, so every row
-    still gets both count paths and the same verdict, error text and
-    report bytes as a block_invariants call of its own.
+    the profile and the _weight_group checks and colour counts are
+    memoised, so they run once for each such group that passes them, and
+    the per-weight step runs once per row. Every row still gets both count
+    paths and the same verdict, error text and report bytes as a
+    block_invariants call of its own.
 
     Each run of rows that share (family, ell, d, a) is evaluated largest w
     first (rows of equal w in q order), so the run's first row grows every
@@ -867,7 +840,6 @@ def sweep(
     order changes no value: each row is stored at its own place and the
     report bytes are those of an evaluation in row order."""
     cache = cache or shared_cache
-    groups: dict = {}
     rows = []
     errors = []
     for key, run in itertools.groupby(spec.row_params(), _run_key):
@@ -878,7 +850,7 @@ def sweep(
             results = [None] * len(run)
             # stable, so rows of equal w keep their q order
             for i in sorted(range(len(run)), key=lambda i: -run[i]["w"]):
-                results[i] = _weight_row(run[i], groups, cache, check_two_path)
+                results[i] = _weight_row(run[i], cache, check_two_path)
         for row, message in results:
             rows.append(row)
             if message:

@@ -1,5 +1,6 @@
 import json
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,11 @@ def test_valuation():
     assert valuation(5, 7) == 0
     with pytest.raises(ValueError):
         valuation(3, 0)
+    # ell = 1 and -1 divide every n, so the loop would never end; ell = 0
+    # would divide by zero
+    for ell in (1, 0, -1):
+        with pytest.raises(ValueError, match="ell >= 2, got"):
+            valuation(ell, 12)
 
 
 PROFILE_VALUES = {
@@ -179,6 +185,15 @@ def test_profile_consistency_check():
     # the unitary family derives its profile through the ennola transfer
     uq = BlockQuery(blocks.GU, EllProfile(5, 2, 1, q=6), w=1)
     assert block_invariants(uq).k_B == 4
+    # 3 divides 2 + 1, so q = 2 witnesses d = 2, not the d = 1 asked for;
+    # both entries refuse the query with one message, on every call
+    query = BlockQuery(blocks.GL, EllProfile(3, 1, 1, q=2), w=1)
+    messages = set()
+    for entry in (k_unipotent_block, block_invariants, k_unipotent_block):
+        with pytest.raises(ValueError, match=r"derived \(d=2, a=1\)") as info:
+            entry(query)
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 K_BLOCK_VALUES = {
@@ -444,22 +459,80 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
 
 def test_sweep_report_does_not_depend_on_cache_state():
     # the cache tables are prefix-stable, so a cache already grown past the
-    # sweep's weights gives the same report as a fresh one
+    # sweep's weights gives the same report as a fresh one; the profile and
+    # group memos hold pure values, so cleared and warm memos agree too,
+    # for synthetic profiles and for q witnesses that pass and fail
+    for q_values in ((), (2, 4, 7)):
+        spec = SweepSpec(
+            families=(blocks.GL, blocks.SP, blocks.PSLELL),
+            ell_values=(3, 5),
+            a_values=(1, 2),
+            w_values=(0, 1, 2, 3),
+            q_values=q_values,
+        )
+        grown = CountCache()
+        sweep(
+            SweepSpec(
+                families=spec.families, ell_values=(3, 5), a_values=(1, 2), w_values=(40,)
+            ),
+            grown,
+        )
+        fresh = sweep(spec, CountCache())
+        reused = sweep(spec, grown)
+        assert fresh.to_csv() == reused.to_csv()
+        assert fresh.to_json() == reused.to_json()
+        blocks._weight_group.cache_clear()
+        blocks._sweep_profile.cache_clear()
+        cold = sweep(spec, CountCache())
+        assert blocks._weight_group.cache_info().currsize > 0
+        warm = sweep(spec, CountCache())
+        assert cold.to_csv() == warm.to_csv() == fresh.to_csv()
+        assert cold.errors == warm.errors == fresh.errors
+
+
+def test_sweep_checks_each_passing_group_once(monkeypatch):
+    # the group check of a passing (family, profile) runs on its first row
+    # only; a failing one raises again on each row that reaches it, since
+    # the memo stores no exception, and rows refused for w < 0 never do
+    blocks._weight_group.cache_clear()
+    real = blocks._check_profile_consistency
+    calls = []
+
+    def counted(family, profile):
+        calls.append((family, profile))
+        real(family, profile)
+
+    monkeypatch.setattr(blocks, "_check_profile_consistency", counted)
     spec = SweepSpec(
-        families=(blocks.GL, blocks.SP, blocks.PSLELL),
-        ell_values=(3, 5),
+        families=(blocks.GL, blocks.GU),
+        ell_values=(5,),
+        d_values=(1, 2, 4),
         a_values=(1, 2),
-        w_values=(0, 1, 2, 3),
+        w_values=(-1, 0, 2, 2),
+        q_values=(2, 4, 11),
     )
-    grown = CountCache()
-    sweep(
-        SweepSpec(families=spec.families, ell_values=(3, 5), a_values=(1, 2), w_values=(40,)),
-        grown,
+    report = sweep(spec, CountCache())
+    expected = Counter()
+    for param in spec.row_params():
+        key = (
+            param["family"],
+            EllProfile(param["ell"], param["d"], param["a"], param["q"]),
+        )
+        if param["w"] < 0:
+            continue
+        try:
+            real(*key)
+        except ValueError:
+            expected[key] += 1
+        else:
+            expected[key] = 1
+    assert Counter(calls) == expected
+    passing = [key for key, count in expected.items() if count == 1]
+    failing = [key for key, count in expected.items() if count == 3]
+    assert passing and failing and len(passing) + len(failing) == len(expected)
+    assert sum(row["verdict"] == blocks.ERROR for row in report.rows) == (
+        len(spec.row_params()) - 3 * len(passing)
     )
-    fresh = sweep(spec, CountCache())
-    reused = sweep(spec, grown)
-    assert fresh.to_csv() == reused.to_csv()
-    assert fresh.to_json() == reused.to_json()
 
 
 def test_sweep_starts_no_thread(monkeypatch):
