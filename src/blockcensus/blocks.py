@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -293,7 +293,7 @@ def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int
         raise ValueError(f"family {query.family!r} is not weight-addressed")
     if query.w is None:
         raise ValueError("weight-addressed query needs w")
-    head, tail = _weight_group(query.family, query.profile)
+    _, head, tail = _weight_group(query.family, query.profile)
     return composition_sum(query.profile.ell, head, tail, query.w, cache)
 
 
@@ -430,11 +430,12 @@ def _check_profile_consistency(family: str, profile: EllProfile) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _weight_group(family: str, profile: EllProfile) -> tuple[int, int]:
+def _weight_group(family: str, profile: EllProfile) -> tuple[int, int, int]:
     """The per-group step of block_invariants for a weight family: the
-    checks that do not depend on w, then the head and tail colour counts
-    (head, tail), memoised like slots.build_inventory. A failing check
-    raises again on every call, since lru_cache stores no exception.
+    checks that do not depend on w, then the slot denominator and the head
+    and tail colour counts (denom, head, tail), memoised like
+    slots.build_inventory. A failing check raises again on every call,
+    since lru_cache stores no exception.
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
     (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
@@ -443,39 +444,50 @@ def _weight_group(family: str, profile: EllProfile) -> tuple[int, int]:
     _require_odd(profile)
     _check_profile_consistency(family, profile)
     denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
-    return colour_counts(profile.ell, profile.a, denom)
+    return (denom, *colour_counts(profile.ell, profile.a, denom))
 
 
-def _weight_step(
+def _block_pair(
     family: str,
     profile: EllProfile,
-    colours: tuple[int, int],
+    group: tuple[int, int, int],
     w: int,
     cache: CountCache,
     check_two_path: bool,
-) -> tuple[int, int, bool, str, bool]:
-    """The per-weight step of block_invariants for a weight family at
-    w >= 0, given its _weight_group colour counts: (k_B, defect exponent,
-    abelian, verdict, two_path_checked)."""
+) -> tuple[int, int | None]:
+    """The two counts of a weight-w block given its _weight_group values:
+    (closed form, slot calculus), the second None without the two-path
+    check. Both depend only on (ell, a, denom, w)."""
+    _, head, tail = group
+    k = composition_sum(profile.ell, head, tail, w, cache)
+    if not check_two_path:
+        return k, None
+    other = slots.block_count_proof_path(
+        WEIGHT_FAMILIES[family], profile.ell, profile.d, profile.a, w, cache
+    )
+    return k, other
+
+
+def _weight_values(
+    family: str, profile: EllProfile, w: int, pair: tuple[int, int | None]
+) -> tuple[int, str, int, bool, str, bool]:
+    """The BlockInvariants fields of a weight-family block from its
+    _block_pair: (k_B, exactness, defect exponent, abelian, verdict,
+    two_path_checked). Two counts that differ raise the mismatch, which
+    names the family and profile asked for."""
     ell, a = profile.ell, profile.a
-    head, tail = colours
-    k = composition_sum(ell, head, tail, w, cache)
-    two_path_checked = False
-    if check_two_path:
-        other = slots.block_count_proof_path(
-            WEIGHT_FAMILIES[family], ell, profile.d, a, w, cache
+    k, other = pair
+    if other is not None and other != k:
+        raise ArithmeticError(
+            f"two-path mismatch for {family} "
+            f"(ell={ell}, d={profile.d}, a={a}, w={w}): "
+            f"closed form {k}, slot calculus {other}"
         )
-        if other != k:
-            raise ArithmeticError(
-                f"two-path mismatch for {family} "
-                f"(ell={ell}, d={profile.d}, a={a}, w={w}): "
-                f"closed form {k}, slot calculus {other}"
-            )
-        two_path_checked = True
+    exactness = exactness_for(family)
     exp = defect_exponent(family, ell, a, w=w)
     abelian = is_abelian_defect(w, ell)
-    result = verdict(k, exactness_for(family), exp, abelian, ell)
-    return k, exp, abelian, result, two_path_checked
+    result = verdict(k, exactness, exp, abelian, ell)
+    return k, exactness, exp, abelian, result, other is not None
 
 
 def block_invariants(
@@ -493,15 +505,11 @@ def block_invariants(
     family = query.family
     profile = query.profile
     if family in WEIGHT_FAMILIES:
-        colours = _weight_group(family, profile)
+        group = _weight_group(family, profile)
         if query.w is None:
             raise ValueError("weight-addressed query needs w")
-        k, exp, abelian, result, two_path_checked = _weight_step(
-            family, profile, colours, query.w, cache, check_two_path
-        )
-        return BlockInvariants(
-            k, exactness_for(family), exp, abelian, result, two_path_checked
-        )
+        pair = _block_pair(family, profile, group, query.w, cache, check_two_path)
+        return BlockInvariants(*_weight_values(family, profile, query.w, pair))
     _require_odd(profile)
     _check_profile_consistency(family, profile)
     if family in (SLRANGE, SURANGE):
@@ -594,42 +602,56 @@ class SweepSpec:
         deterministic order (families outermost, then ell, d, a, then the
         weight or rank axis)."""
         rows = []
-        qs = self.q_values or (None,)
+        qs = self._q_axis()
         for family in self.families:
             if family in WEIGHT_FAMILIES:
-                for ell in self.ell_values:
-                    ds = self.d_values if self.d_values is not None else _divisors(ell - 1)
-                    for d in ds:
-                        for a in self.a_values:
-                            for w in self.w_values:
-                                for q in qs:
-                                    rows.append(
-                                        dict(family=family, ell=ell, d=d, a=a, w=w, q=q)
-                                    )
-            elif family in (SLRANGE, SURANGE):
-                for ell in self.ell_values:
-                    for a in self.a_values:
-                        gs = self.g_values if self.g_values is not None else (a,)
-                        for n in self.n_values:
-                            for g in gs:
-                                for q in qs:
-                                    rows.append(
-                                        dict(
-                                            family=family,
-                                            ell=ell,
-                                            d=1,
-                                            a=a,
-                                            n=n,
-                                            g=g,
-                                            q=q,
-                                        )
-                                    )
-            elif family == PSLELL:
-                for ell in self.ell_values:
-                    for a in self.a_values:
-                        for q in qs:
-                            rows.append(dict(family=family, ell=ell, d=1, a=a, n=ell, q=q))
+                for ell, d, a in self._weight_runs():
+                    rows += [
+                        _weight_param(family, ell, d, a, w, q)
+                        for w in self.w_values
+                        for q in qs
+                    ]
+            else:
+                rows += self._principal_params(family)
         return rows
+
+    def _q_axis(self) -> tuple[int | None, ...]:
+        return self.q_values or (None,)
+
+    def _weight_runs(self):
+        """The (ell, d, a) of each run of a weight family, in row order; a
+        run's rows are its w values, each over the q axis."""
+        for ell in self.ell_values:
+            ds = self.d_values if self.d_values is not None else _divisors(ell - 1)
+            for d in ds:
+                for a in self.a_values:
+                    yield ell, d, a
+
+    def _principal_params(self, family: str) -> list[dict]:
+        """The row_params dicts of a special-linear-range or PSLell family."""
+        rows = []
+        qs = self._q_axis()
+        if family in (SLRANGE, SURANGE):
+            for ell in self.ell_values:
+                for a in self.a_values:
+                    gs = self.g_values if self.g_values is not None else (a,)
+                    for n in self.n_values:
+                        for g in gs:
+                            for q in qs:
+                                rows.append(
+                                    dict(family=family, ell=ell, d=1, a=a, n=n, g=g, q=q)
+                                )
+        elif family == PSLELL:
+            for ell in self.ell_values:
+                for a in self.a_values:
+                    for q in qs:
+                        rows.append(dict(family=family, ell=ell, d=1, a=a, n=ell, q=q))
+        return rows
+
+
+def _weight_param(family: str, ell: int, d: int, a: int, w: int, q: int | None) -> dict:
+    """The row_params dict of a weight-family row."""
+    return {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
 
 
 REPORT_COLUMNS = (
@@ -650,19 +672,24 @@ REPORT_COLUMNS = (
 )
 
 
+# The REPORT_COLUMNS values of a row that has them all, in one call.
+_column_values = operator.itemgetter(*REPORT_COLUMNS)
+
+
 def _row_cells(row: dict) -> list[str]:
-    """The text of a row's REPORT_COLUMNS cells: None is empty, a bool is
-    lowercase, anything else is its str. A bool is tested by identity,
-    since 1 == True."""
+    """The text of a row's REPORT_COLUMNS cells, read in one call: None (or
+    a missing column) is empty, a bool is lowercase, anything else is its
+    str. A bool is tested by identity, since 1 == True."""
+    try:
+        values = _column_values(row)
+    except KeyError:
+        values = map(row.get, REPORT_COLUMNS)
     return [
-        ""
-        if value is None
-        else "true"
-        if value is True
-        else "false"
-        if value is False
+        "" if value is None
+        else "true" if value is True
+        else "false" if value is False
         else str(value)
-        for value in map(row.get, REPORT_COLUMNS)
+        for value in values
     ]
 
 
@@ -684,7 +711,7 @@ class CensusReport:
     def to_csv(self) -> str:
         lines = [f"# {key}: {self.metadata[key]}" for key in self.metadata]
         lines.append(",".join(REPORT_COLUMNS))
-        lines.extend(",".join(_row_cells(row)) for row in self.rows)
+        lines += [",".join(_row_cells(row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -696,7 +723,7 @@ class CensusReport:
         lines.append("")
         lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
         lines.append("|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
-        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in self.rows)
+        lines += ["| " + " | ".join(_row_cells(row)) + " |" for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -729,43 +756,88 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
 _sweep_profile = functools.lru_cache(maxsize=None)(EllProfile)
 
 
-def _weight_row(
-    param: dict, cache: CountCache, check_two_path: bool
-) -> tuple[dict, str | None]:
-    """One weight-family sweep row and its error message, if any. The row
-    meets the checks in the order block_invariants does: the profile, then
-    the row's own w, then the _weight_group checks. Neither memo stores a
-    failure, so every row of a failing group gets the same message."""
-    family, w = param["family"], param["w"]
-    try:
-        profile = _sweep_profile(param["ell"], param["d"], param["a"], param["q"])
-        _require_weight(w)
-        colours = _weight_group(family, profile)
-        k, exp, abelian, result, two_path_checked = _weight_step(
-            family, profile, colours, w, cache, check_two_path
-        )
-        exactness, message = exactness_for(family), None
-    except Exception as exc:
-        k = exactness = exp = abelian = two_path_checked = None
-        result, text = _row_failure(exc)
-        message = f"{family} row {param}: {text}"
-    row = {
-        "family": family,
-        "n": None,
-        "ell": param["ell"],
-        "d": param["d"],
-        "a": param["a"],
-        "w": w,
-        "g": None,
-        "m": None,
-        "k_B": k,
-        "exactness": exactness,
-        "defect_exponent": exp,
-        "abelian": abelian,
-        "verdict": result,
-        "two_path_checked": two_path_checked,
-    }
-    return row, message
+def _weight_run(
+    family: str,
+    ell: int,
+    d: int,
+    a: int,
+    spec: SweepSpec,
+    tables: tuple[dict, dict],
+    cache: CountCache,
+    check_two_path: bool,
+) -> tuple[list[dict], list[str | None]]:
+    """The rows of one run, which share (family, ell, d, a), and their error
+    messages (None for a row without one), in row_params order: over the
+    spec's w values, each over its q axis.
+
+    Each row meets the checks in the order block_invariants does: the
+    profile, then the row's own w, then the _weight_group checks. The
+    profile and group checks of a q run on its first row that reaches
+    them and are kept for the run once they pass; a failing one raises
+    again on every row that reaches it, so every such row gets the same
+    message.
+
+    tables holds the sweep's block tables, keyed by w inside: pairs[ell,
+    a, denom] holds each block's _block_pair, and fields[ell, a, denom,
+    exactness] its _weight_values. Neither stores a failure, and a mismatch
+    raises on every row of its block, naming the row's own family.
+
+    The run is evaluated largest w first (rows of equal w in q order), so
+    its first row grows every grow-only CountCache table it reads to the
+    length the run needs, and the other rows read prefixes."""
+    pairs, fields = tables
+    exactness = exactness_for(family)
+    ws, qs = spec.w_values, spec._q_axis()
+    groups = {}
+    rows = [None] * (len(ws) * len(qs))
+    messages = [None] * len(rows)
+    # reverse keeps the sort stable, so equal w keep their row order
+    for wi in sorted(range(len(ws)), key=ws.__getitem__, reverse=True):
+        w = ws[wi]
+        for i, q in enumerate(qs, wi * len(qs)):
+            try:
+                checked = groups.get(q)
+                if checked is None:
+                    profile = _sweep_profile(ell, d, a, q)
+                    _require_weight(w)
+                    group = _weight_group(family, profile)
+                    counts = pairs.setdefault((ell, a, group[0]), {})
+                    known = fields.setdefault((ell, a, group[0], exactness), {})
+                    checked = groups[q] = profile, group, counts, known
+                else:
+                    _require_weight(w)
+                profile, group, counts, known = checked
+                values = known.get(w)
+                if values is None:
+                    pair = counts.get(w)
+                    if pair is None:
+                        pair = _block_pair(family, profile, group, w, cache, check_two_path)
+                        counts[w] = pair
+                    values = _weight_values(family, profile, w, pair)
+                    known[w] = values
+            except Exception as exc:
+                result, text = _row_failure(exc)
+                values = (None, None, None, None, result, None)
+                param = _weight_param(family, ell, d, a, w, q)
+                messages[i] = f"{family} row {param}: {text}"
+            k, row_exactness, exp, abelian, result, two_path_checked = values
+            rows[i] = {
+                "family": family,
+                "n": None,
+                "ell": ell,
+                "d": d,
+                "a": a,
+                "w": w,
+                "g": None,
+                "m": None,
+                "k_B": k,
+                "exactness": row_exactness,
+                "defect_exponent": exp,
+                "abelian": abelian,
+                "verdict": result,
+                "two_path_checked": two_path_checked,
+            }
+    return rows, messages
 
 
 def _principal_row(
@@ -809,14 +881,6 @@ def _principal_row(
     return row, None
 
 
-def _run_key(param: dict) -> tuple | None:
-    """The (family, ell, d, a) run of a weight-family row, None otherwise:
-    row_params lists each run's rows consecutively, over w and then q."""
-    if param["family"] not in WEIGHT_FAMILIES:
-        return None
-    return param["family"], param["ell"], param["d"], param["a"]
-
-
 def sweep(
     spec: SweepSpec,
     cache: CountCache | None = None,
@@ -826,35 +890,38 @@ def sweep(
     """Evaluate every row of the sweep and assemble the report, rows and
     errors in SweepSpec.row_params order.
 
-    The rows of a weight family that share (ell, d, a, q) differ only in w:
-    the profile and the _weight_group checks and colour counts are
-    memoised, so they run once for each such group that passes them, and
-    the per-weight step runs once per row. Every row still gets both count
-    paths and the same verdict, error text and report bytes as a
-    block_invariants call of its own.
+    The rows of a weight family come in runs that share (family, ell, d, a)
+    and differ in w and q (_weight_run). The profile and group checks run
+    once per q of a run that passes them, and each distinct block (ell, a,
+    slot denominator, w) gets its two counts once per call: GL and GU share
+    a block at equal d, as do the symplectic and orthogonal families at
+    equal 2d', and GL at d = 2 with them at d' = 1. The counts depend on
+    the block alone, since the colour counts and the cached slot series are
+    functions of (ell, a, denom), so sharing them weakens no check. The
+    block tables live for this call only. Every row still gets the verdict,
+    error text and report bytes of a block_invariants call of its own.
 
-    Each run of rows that share (family, ell, d, a) is evaluated largest w
-    first (rows of equal w in q order), so the run's first row grows every
-    grow-only CountCache table it reads to the length the run needs, and
-    the other rows read prefixes. The tables are prefix-stable, so the
-    order changes no value: each row is stored at its own place and the
+    The cache tables are prefix-stable, so the order in which a run is
+    evaluated changes no value: each row is stored at its own place and the
     report bytes are those of an evaluation in row order."""
     cache = cache or shared_cache
+    tables = ({}, {})
     rows = []
     errors = []
-    for key, run in itertools.groupby(spec.row_params(), _run_key):
-        run = list(run)
-        if key is None:
-            results = [_principal_row(param, cache, check_two_path) for param in run]
+    for family in spec.families:
+        if family in WEIGHT_FAMILIES:
+            for ell, d, a in spec._weight_runs():
+                run_rows, messages = _weight_run(
+                    family, ell, d, a, spec, tables, cache, check_two_path
+                )
+                rows += run_rows
+                errors += filter(None, messages)
         else:
-            results = [None] * len(run)
-            # stable, so rows of equal w keep their q order
-            for i in sorted(range(len(run)), key=lambda i: -run[i]["w"]):
-                results[i] = _weight_row(run[i], cache, check_two_path)
-        for row, message in results:
-            rows.append(row)
-            if message:
-                errors.append(message)
+            for param in spec._principal_params(family):
+                row, message = _principal_row(param, cache, check_two_path)
+                rows.append(row)
+                if message:
+                    errors.append(message)
     metadata = {
         "tool": "blockcensus",
         "version": __version__,

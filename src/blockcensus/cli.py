@@ -15,10 +15,10 @@ failed bound, an oracle census that finds itself inconsistent).
 from __future__ import annotations
 
 import argparse
+import functools
 import operator
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import blocks, oracle, tables
@@ -95,6 +95,9 @@ def _int_values(flag_values, config, key) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Built once per process: parse_args reads the tree and changes nothing in
+# it, so every main call can share it.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blockcensus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"blockcensus {__version__}")
@@ -203,11 +206,12 @@ def _cmd_census(args) -> int:
             "warning: --jobs and the jobs config key are ignored and will be removed",
             file=sys.stderr,
         )
-    timestamp = (
-        None
-        if args.strip_timestamp
-        else datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
+    timestamp = None
+    if not args.strip_timestamp:
+        # imported here, so a census without a timestamp never loads it
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     report = blocks.sweep(spec, check_two_path=not args.no_two_path, timestamp=timestamp)
     text = report.render(fmt)
     if args.out:

@@ -641,7 +641,7 @@ def test_sweep_psl_rows_check_the_witnessed_profile():
     assert all("derived (d=2, a=1)" in message for message in report.errors)
 
 
-def _reference_row(param, cache):
+def _reference_row(param, cache, check_two_path=True):
     # one BlockQuery and one block_invariants call per row, the route the
     # sweep took before its rows shared the per-group step
     family = param["family"]
@@ -667,7 +667,7 @@ def _reference_row(param, cache):
         else:
             query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
             row.update(g=profile.a, m=1)
-        inv = block_invariants(query, cache)
+        inv = block_invariants(query, cache, check_two_path)
     except ArithmeticError as exc:
         row.update(verdict=blocks.INTERNAL_MISMATCH)
         return row, f"{family} row {param}: internal mismatch: {exc}"
@@ -710,8 +710,13 @@ _MIXED_SPECS = (
 )
 
 
-def _reference_sweep(spec, cache):
-    results = [_reference_row(param, cache) for param in spec.row_params()]
+# the verdicts each of _MIXED_SPECS must reach
+_WITNESSED = {blocks.ERROR, blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}
+_SYNTHETIC = {blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}
+
+
+def _reference_sweep(spec, cache, check_two_path=True):
+    results = [_reference_row(param, cache, check_two_path) for param in spec.row_params()]
     return [row for row, _ in results], [message for _, message in results if message]
 
 
@@ -720,17 +725,18 @@ def _row_items(rows):
 
 
 @pytest.mark.parametrize(
-    "spec, verdicts",
+    "spec, verdicts, check_two_path",
     [
-        (_MIXED_SPECS[0], {blocks.ERROR, blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}),
-        (_MIXED_SPECS[1], {blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}),
+        pytest.param(_MIXED_SPECS[0], _WITNESSED, True, id="witnessed"),
+        pytest.param(_MIXED_SPECS[0], _WITNESSED, False, id="witnessed-no-two-path"),
+        pytest.param(_MIXED_SPECS[1], _SYNTHETIC, True, id="synthetic"),
+        pytest.param(_MIXED_SPECS[1], _SYNTHETIC, False, id="synthetic-no-two-path"),
     ],
-    ids=["witnessed", "synthetic"],
 )
-def test_sweep_matches_a_per_row_reference(spec, verdicts):
+def test_sweep_matches_a_per_row_reference(spec, verdicts, check_two_path):
     cache = CountCache()
-    report = sweep(spec, cache)
-    rows, errors = _reference_sweep(spec, cache)
+    report = sweep(spec, cache, check_two_path)
+    rows, errors = _reference_sweep(spec, cache, check_two_path)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
     assert verdicts <= {row["verdict"] for row in rows}
@@ -770,16 +776,24 @@ def test_sweep_mismatch_in_one_ell_fails_only_its_rows(monkeypatch):
 # profiles that several (d, a) rows contradict, so error rows sit between
 # valid ones at several w of one run; w = -1 is refused per row.
 @pytest.mark.parametrize(
-    "w_values",
+    "w_values, check_two_path",
     [
-        (0, 1, 40, 130, 200),
-        (200, 130, 40, 1, 0),
-        (40, -1, 200, 0, 130, 1),
-        (130, 40, 130, -1, 0, 40, -1),
+        (w_values, check_two_path)
+        for check_two_path in (True, False)
+        for w_values in (
+            (0, 1, 40, 130, 200),
+            (200, 130, 40, 1, 0),
+            (40, -1, 200, 0, 130, 1),
+            (130, 40, 130, -1, 0, 40, -1),
+        )
     ],
-    ids=["ascending", "descending", "unsorted", "repeated"],
+    ids=[
+        f"{order}{suffix}"
+        for suffix in ("", "-no-two-path")
+        for order in ("ascending", "descending", "unsorted", "repeated")
+    ],
 )
-def test_sweep_order_matches_a_per_row_reference(w_values):
+def test_sweep_order_matches_a_per_row_reference(w_values, check_two_path):
     spec = SweepSpec(
         families=(blocks.GL, blocks.GU, blocks.SP, blocks.SOEVEN_PLUS, blocks.SLRANGE),
         ell_values=(3, 5),
@@ -789,8 +803,8 @@ def test_sweep_order_matches_a_per_row_reference(w_values):
         n_values=(3,),
         q_values=(2, 3, 4, 7),
     )
-    report = sweep(spec, CountCache())
-    rows, errors = _reference_sweep(spec, CountCache())
+    report = sweep(spec, CountCache(), check_two_path)
+    rows, errors = _reference_sweep(spec, CountCache(), check_two_path)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
     verdicts = {row["verdict"] for row in rows}
@@ -836,6 +850,109 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
     # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
     assert grown == {3: [701], 2: [234], 1: [234]}
+
+
+def _count_block_evaluations(monkeypatch):
+    # counts the calls of both count paths and of the verdict, which
+    # computes |D|, through the module names the sweep calls them by
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(blocks, "composition_sum", counted("closed", blocks.composition_sum))
+    monkeypatch.setattr(
+        slots, "block_count_proof_path", counted("slots", slots.block_count_proof_path)
+    )
+    monkeypatch.setattr(blocks, "verdict", counted("verdict", blocks.verdict))
+    return calls
+
+
+def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
+    # the grid of the census-wide benchmark: 7,600 rows hold 950 distinct
+    # blocks (ell, a, slot denominator, w), since GL and GU share a block at
+    # equal d, and Sp, SOodd and the even orthogonal families at equal 2d'
+    # (GL at d = 2 too). The verdict runs once per block and exactness:
+    # SOevenPlus/Minus give upper bounds, on their 550 blocks
+    calls = _count_block_evaluations(monkeypatch)
+    spec = SweepSpec(
+        families=(
+            blocks.GL, blocks.GU, blocks.SP, blocks.SOODD, blocks.SOEVEN_PLUS,
+            blocks.SOEVEN_MINUS, blocks.GOEVEN_PLUS, blocks.GOEVEN_MINUS,
+        ),
+        ell_values=(3, 5, 7, 11, 13),
+        a_values=(1, 2),
+        w_values=tuple(range(25)),
+    )
+    report = sweep(spec, CountCache())
+    distinct = {
+        (
+            row["ell"],
+            row["a"],
+            slots.slot_denominator(blocks.WEIGHT_FAMILIES[row["family"]], row["d"]),
+            row["w"],
+        )
+        for row in report.rows
+    }
+    assert len(report.rows) == 7600 and len(distinct) == 950
+    assert all(row["two_path_checked"] for row in report.rows)
+    assert calls == {"closed": 950, "slots": 950, "verdict": 1500}
+    # the block table belongs to one call: a second sweep evaluates again
+    again = sweep(spec, CountCache())
+    assert calls == {"closed": 1900, "slots": 1900, "verdict": 3000}
+    assert again.to_csv() == report.to_csv()
+
+
+def test_sparse_large_weights_evaluate_only_the_asked_weights(monkeypatch):
+    # GL (slot denominator 1) and Sp (2) at w = 0 and 2800 are four blocks;
+    # nothing is evaluated at the weights in between, |D| included
+    calls = _count_block_evaluations(monkeypatch)
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.SP),
+        ell_values=(3,),
+        d_values=(1,),
+        a_values=(1,),
+        w_values=(0, 2800),
+    )
+    report = sweep(spec, CountCache())
+    assert calls == {"closed": 4, "slots": 4, "verdict": 4}
+    assert [row["defect_exponent"] for row in report.rows] == [
+        0, 2800 + val_factorial(3, 2800)
+    ] * 2
+    assert all(row["verdict"] == blocks.HOLDS_STRICT for row in report.rows[1::2])
+
+
+def test_families_sharing_a_block_keep_their_own_q_checks():
+    # GL and GU share the block at equal d, but q = 11 witnesses d = 1 for
+    # GL (5 divides 11 - 1) and d = 2 for GU (5 divides 11 + 1): at d = 1
+    # the GU rows are errors after valid GL rows, at d = 2 the valid GU rows
+    # come after GL error rows
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.GU),
+        ell_values=(5,),
+        d_values=(1, 2),
+        a_values=(1,),
+        w_values=(0, 3, 7),
+        q_values=(11,),
+    )
+    cache = CountCache()
+    report = sweep(spec, cache)
+    rows, errors = _reference_sweep(spec, cache)
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.errors == errors
+    refused = [(row["family"], row["d"], row["verdict"] == blocks.ERROR) for row in report.rows]
+    assert refused == (
+        [(blocks.GL, 1, False)] * 3
+        + [(blocks.GL, 2, True)] * 3
+        + [(blocks.GU, 1, True)] * 3
+        + [(blocks.GU, 2, False)] * 3
+    )
+    assert len(report.errors) == 6
+    assert all("derived (d=" in message for message in report.errors)
 
 
 def _reference_cell_text(value):

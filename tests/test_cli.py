@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -774,6 +775,70 @@ def test_short_products_never_load_decimal():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[False, False, True]"
+
+
+def test_census_without_timestamp_never_loads_datetime():
+    # datetime is imported for the timestamp only, so a --strip-timestamp
+    # census leaves it unloaded, and a timestamped one loads it
+    script = (
+        "import contextlib, io, sys\n"
+        "from blockcensus import cli\n"
+        "loaded = ['datetime' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['census', '--family', 'GL,Sp', '--ell', '3,5', '--w', '0..4', '--strip-timestamp'])\n"
+        "loaded.append('datetime' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['census', '--family', 'GL', '--ell', '3', '--w', '0'])\n"
+        "loaded.append('datetime' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[False, False, True]"
+
+
+# Subcommands in turn, two censuses with different list flags among them
+# (the parser's append defaults must not carry one call's values into the
+# next), a usage error and an oracle census.
+_CALL_SEQUENCE = (
+    ("census", "--family", "GL,Sp", "--ell", "3", "--w", "0..3", "--strip-timestamp"),
+    ("bounds", "--wmax", "60", "--nmax", "4"),
+    (
+        "census", "--family", "GU", "--ell", "5", "--a", "1,2", "--w", "2",
+        "--format", "md", "--no-two-path", "--strip-timestamp",
+    ),
+    ("verify-exceptional", "--table", "F4-l3"),
+    ("census", "--frobenius", "1"),
+    ("oracle", "--gl", "2,2,3"),
+    ("census", "--family", "PSLell", "--ell", "3,5", "--strip-timestamp"),
+)
+
+# the elapsed time that oracle and bounds lines end in, such as "(0.41s)"
+_ELAPSED = re.compile(r"\d+\.\d\ds\)$", re.MULTILINE)
+
+
+def test_consecutive_main_calls_match_separate_processes(capsys):
+    # the parser is built once per process and shared by every main call
+    assert cli._build_parser() is cli._build_parser()
+    in_process = [run_cli(capsys, *argv) for argv in _CALL_SEQUENCE]
+    separate = []
+    for argv in _CALL_SEQUENCE:
+        result = subprocess.run(
+            [sys.executable, "-m", "blockcensus.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+        )
+        separate.append((result.returncode, result.stdout, result.stderr))
+    masked = [
+        (code, _ELAPSED.sub("", out), _ELAPSED.sub("", err)) for code, out, err in in_process
+    ]
+    assert masked == [
+        (code, _ELAPSED.sub("", out), _ELAPSED.sub("", err)) for code, out, err in separate
+    ]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 1, 0, 0]
 
 
 def test_package_root_loads_only_the_version():
