@@ -7,7 +7,6 @@ ranges into a deterministic report.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -244,10 +243,17 @@ class BlockQuery:
                 raise ValueError("n must be >= 1")
             _require_indexable("n", self.n)
         if self.w is not None and self.n is not None:
-            if self.w * self.profile.dprime > self.n:
+            # GL and GU spend d*w of the rank on a weight-w block, as
+            # oracle.census_matches_weight_vectors splits n; the other
+            # families spend d'*w
+            if self.family in (GL, GU):
+                step, size = "d", self.profile.d
+            else:
+                step, size = "d'", self.profile.dprime
+            if self.w * size > self.n:
                 raise ValueError(
                     f"weight {self.w} does not fit into rank {self.n} "
-                    f"(w * d' = {self.w * self.profile.dprime})"
+                    f"(w * {step} = {self.w * size})"
                 )
         if self.family in (SOEVEN_PLUS, SOEVEN_MINUS, GOEVEN_PLUS, GOEVEN_MINUS):
             if self.n is not None and self.n < 4:
@@ -429,13 +435,11 @@ def _check_profile_consistency(family: str, profile: EllProfile) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
 def _weight_group(family: str, profile: EllProfile) -> tuple[int, int, int]:
     """The per-group step of block_invariants for a weight family: the
     checks that do not depend on w, then the slot denominator and the head
-    and tail colour counts (denom, head, tail), memoised like
-    slots.build_inventory. A failing check raises again on every call,
-    since lru_cache stores no exception.
+    and tail colour counts (denom, head, tail). A sweep runs it once per q
+    of a run that passes it (_weight_run).
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
     (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
@@ -447,47 +451,38 @@ def _weight_group(family: str, profile: EllProfile) -> tuple[int, int, int]:
     return (denom, *colour_counts(profile.ell, profile.a, denom))
 
 
-def _block_pair(
+def _weight_values(
     family: str,
     profile: EllProfile,
     group: tuple[int, int, int],
     w: int,
     cache: CountCache,
     check_two_path: bool,
-) -> tuple[int, int | None]:
-    """The two counts of a weight-w block given its _weight_group values:
-    (closed form, slot calculus), the second None without the two-path
-    check. Both depend only on (ell, a, denom, w)."""
-    _, head, tail = group
-    k = composition_sum(profile.ell, head, tail, w, cache)
-    if not check_two_path:
-        return k, None
-    other = slots.block_count_proof_path(
-        WEIGHT_FAMILIES[family], profile.ell, profile.d, profile.a, w, cache
-    )
-    return k, other
-
-
-def _weight_values(
-    family: str, profile: EllProfile, w: int, pair: tuple[int, int | None]
 ) -> tuple[int, str, int, bool, str, bool]:
-    """The BlockInvariants fields of a weight-family block from its
-    _block_pair: (k_B, exactness, defect exponent, abelian, verdict,
-    two_path_checked). Two counts that differ raise the mismatch, which
-    names the family and profile asked for."""
+    """The BlockInvariants fields of a weight-w block given its
+    _weight_group values: (k_B, exactness, defect exponent, abelian,
+    verdict, two_path_checked). With the two-path check the slot calculus
+    recounts the block, and two counts that differ raise the mismatch,
+    which names the family and profile asked for. The fields depend only
+    on (ell, a, denom, exactness, w)."""
     ell, a = profile.ell, profile.a
-    k, other = pair
-    if other is not None and other != k:
-        raise ArithmeticError(
-            f"two-path mismatch for {family} "
-            f"(ell={ell}, d={profile.d}, a={a}, w={w}): "
-            f"closed form {k}, slot calculus {other}"
+    _, head, tail = group
+    k = composition_sum(ell, head, tail, w, cache)
+    if check_two_path:
+        other = slots.block_count_proof_path(
+            WEIGHT_FAMILIES[family], ell, profile.d, a, w, cache
         )
+        if other != k:
+            raise ArithmeticError(
+                f"two-path mismatch for {family} "
+                f"(ell={ell}, d={profile.d}, a={a}, w={w}): "
+                f"closed form {k}, slot calculus {other}"
+            )
     exactness = exactness_for(family)
     exp = defect_exponent(family, ell, a, w=w)
     abelian = is_abelian_defect(w, ell)
     result = verdict(k, exactness, exp, abelian, ell)
-    return k, exactness, exp, abelian, result, other is not None
+    return k, exactness, exp, abelian, result, check_two_path
 
 
 def block_invariants(
@@ -508,8 +503,9 @@ def block_invariants(
         group = _weight_group(family, profile)
         if query.w is None:
             raise ValueError("weight-addressed query needs w")
-        pair = _block_pair(family, profile, group, query.w, cache, check_two_path)
-        return BlockInvariants(*_weight_values(family, profile, query.w, pair))
+        return BlockInvariants(
+            *_weight_values(family, profile, group, query.w, cache, check_two_path)
+        )
     _require_odd(profile)
     _check_profile_consistency(family, profile)
     if family in (SLRANGE, SURANGE):
@@ -751,18 +747,13 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
     return ERROR, str(exc)
 
 
-# The profile of a sweep row, memoised per (ell, d, a, q) like
-# _weight_group; a profile that does not validate raises on every call.
-_sweep_profile = functools.lru_cache(maxsize=None)(EllProfile)
-
-
 def _weight_run(
     family: str,
     ell: int,
     d: int,
     a: int,
     spec: SweepSpec,
-    tables: tuple[dict, dict],
+    table: dict,
     cache: CountCache,
     check_two_path: bool,
 ) -> tuple[list[dict], list[str | None]]:
@@ -773,19 +764,19 @@ def _weight_run(
     Each row meets the checks in the order block_invariants does: the
     profile, then the row's own w, then the _weight_group checks. The
     profile and group checks of a q run on its first row that reaches
-    them and are kept for the run once they pass; a failing one raises
-    again on every row that reaches it, so every such row gets the same
-    message.
+    them, and once they pass, groups[q] keeps the profile, the
+    _weight_group values and the q's entry of the block table; a failing
+    one raises again on every row that reaches it, so every such row gets
+    the same message.
 
-    tables holds the sweep's block tables, keyed by w inside: pairs[ell,
-    a, denom] holds each block's _block_pair, and fields[ell, a, denom,
-    exactness] its _weight_values. Neither stores a failure, and a mismatch
-    raises on every row of its block, naming the row's own family.
+    table is the sweep's block table: table[ell, a, denom, exactness]
+    maps each w to the block's _weight_values. It stores no failure, so a
+    mismatch raises on every row of its block, naming the row's own
+    family.
 
     The run is evaluated largest w first (rows of equal w in q order), so
     its first row grows every grow-only CountCache table it reads to the
     length the run needs, and the other rows read prefixes."""
-    pairs, fields = tables
     exactness = exactness_for(family)
     ws, qs = spec.w_values, spec._q_axis()
     groups = {}
@@ -798,23 +789,19 @@ def _weight_run(
             try:
                 checked = groups.get(q)
                 if checked is None:
-                    profile = _sweep_profile(ell, d, a, q)
+                    profile = EllProfile(ell, d, a, q)
                     _require_weight(w)
                     group = _weight_group(family, profile)
-                    counts = pairs.setdefault((ell, a, group[0]), {})
-                    known = fields.setdefault((ell, a, group[0], exactness), {})
-                    checked = groups[q] = profile, group, counts, known
+                    known = table.setdefault((ell, a, group[0], exactness), {})
+                    checked = groups[q] = profile, group, known
                 else:
                     _require_weight(w)
-                profile, group, counts, known = checked
+                profile, group, known = checked
                 values = known.get(w)
                 if values is None:
-                    pair = counts.get(w)
-                    if pair is None:
-                        pair = _block_pair(family, profile, group, w, cache, check_two_path)
-                        counts[w] = pair
-                    values = _weight_values(family, profile, w, pair)
-                    known[w] = values
+                    values = known[w] = _weight_values(
+                        family, profile, group, w, cache, check_two_path
+                    )
             except Exception as exc:
                 result, text = _row_failure(exc)
                 values = (None, None, None, None, result, None)
@@ -856,7 +843,7 @@ def _principal_row(
         g=param.get("g"),
     )
     try:
-        profile = _sweep_profile(param["ell"], param["d"], param["a"], param.get("q"))
+        profile = EllProfile(param["ell"], param["d"], param["a"], param.get("q"))
         if family == PSLELL:
             query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
             row.update(g=profile.a, m=1)
@@ -893,26 +880,29 @@ def sweep(
     The rows of a weight family come in runs that share (family, ell, d, a)
     and differ in w and q (_weight_run). The profile and group checks run
     once per q of a run that passes them, and each distinct block (ell, a,
-    slot denominator, w) gets its two counts once per call: GL and GU share
-    a block at equal d, as do the symplectic and orthogonal families at
-    equal 2d', and GL at d = 2 with them at d' = 1. The counts depend on
-    the block alone, since the colour counts and the cached slot series are
-    functions of (ell, a, denom), so sharing them weakens no check. The
-    block tables live for this call only. Every row still gets the verdict,
-    error text and report bytes of a block_invariants call of its own.
+    slot denominator, exactness, w) is evaluated once per call, in one
+    block table: GL and GU share a block at equal d, as do Sp, SOodd and
+    the GO even orthogonal families at equal 2d', and GL at d = 2 with
+    them at d' = 1; the SO even orthogonal families share theirs, which
+    give upper bounds. The census-wide grid's 7,600 rows are 1,500 such
+    evaluations. The counts depend on the block alone, since the colour
+    counts and the cached slot series are functions of (ell, a, denom), so
+    sharing them weakens no check. The block table lives for this call
+    only. Every row still gets the verdict, error text and report bytes of
+    a block_invariants call of its own.
 
     The cache tables are prefix-stable, so the order in which a run is
     evaluated changes no value: each row is stored at its own place and the
     report bytes are those of an evaluation in row order."""
     cache = cache or shared_cache
-    tables = ({}, {})
+    table = {}
     rows = []
     errors = []
     for family in spec.families:
         if family in WEIGHT_FAMILIES:
             for ell, d, a in spec._weight_runs():
                 run_rows, messages = _weight_run(
-                    family, ell, d, a, spec, tables, cache, check_two_path
+                    family, ell, d, a, spec, table, cache, check_two_path
                 )
                 rows += run_rows
                 errors += filter(None, messages)

@@ -223,7 +223,8 @@ def _cmd_census(args) -> int:
         sys.stdout.write(text)
     for message in report.errors:
         print(f"error: {message}", file=sys.stderr)
-    return 2 if report.has_violation() or report.has_internal_mismatch() else 0
+    verdicts = {row.get("verdict") for row in report.rows}
+    return 2 if {blocks.VIOLATION, blocks.INTERNAL_MISMATCH} & verdicts else 0
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,10 @@ def test_block_query_validation():
         BlockQuery("GLL", prof, w=1)
     with pytest.raises(ValueError, match="does not fit"):
         BlockQuery(blocks.GL, EllProfile(5, 2, 1), w=4, n=3)
+    # GL and GU spend d * w of the rank, the other families d' * w
+    with pytest.raises(ValueError, match=r"does not fit into rank 4 \(w \* d = 6\)"):
+        BlockQuery(blocks.GL, EllProfile(5, 2, 1), w=3, n=4)
+    BlockQuery(blocks.SP, EllProfile(5, 2, 1), w=4, n=4)
     with pytest.raises(ValueError, match="n >= 4"):
         BlockQuery(blocks.SOEVEN_PLUS, prof, w=0, n=2)
 
@@ -459,9 +463,9 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
 
 def test_sweep_report_does_not_depend_on_cache_state():
     # the cache tables are prefix-stable, so a cache already grown past the
-    # sweep's weights gives the same report as a fresh one; the profile and
-    # group memos hold pure values, so cleared and warm memos agree too,
-    # for synthetic profiles and for q witnesses that pass and fail
+    # sweep's weights gives the same report as a fresh one, and so do two
+    # sweeps in a row, for synthetic profiles and for q witnesses that pass
+    # and fail
     for q_values in ((), (2, 4, 7)):
         spec = SweepSpec(
             families=(blocks.GL, blocks.SP, blocks.PSLELL),
@@ -481,10 +485,7 @@ def test_sweep_report_does_not_depend_on_cache_state():
         reused = sweep(spec, grown)
         assert fresh.to_csv() == reused.to_csv()
         assert fresh.to_json() == reused.to_json()
-        blocks._weight_group.cache_clear()
-        blocks._sweep_profile.cache_clear()
         cold = sweep(spec, CountCache())
-        assert blocks._weight_group.cache_info().currsize > 0
         warm = sweep(spec, CountCache())
         assert cold.to_csv() == warm.to_csv() == fresh.to_csv()
         assert cold.errors == warm.errors == fresh.errors
@@ -493,8 +494,8 @@ def test_sweep_report_does_not_depend_on_cache_state():
 def test_sweep_checks_each_passing_group_once(monkeypatch):
     # the group check of a passing (family, profile) runs on its first row
     # only; a failing one raises again on each row that reaches it, since
-    # the memo stores no exception, and rows refused for w < 0 never do
-    blocks._weight_group.cache_clear()
+    # the run's group table stores no exception, and rows refused for w < 0
+    # never do
     real = blocks._check_profile_consistency
     calls = []
 
@@ -876,8 +877,8 @@ def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
     # the grid of the census-wide benchmark: 7,600 rows hold 950 distinct
     # blocks (ell, a, slot denominator, w), since GL and GU share a block at
     # equal d, and Sp, SOodd and the even orthogonal families at equal 2d'
-    # (GL at d = 2 too). The verdict runs once per block and exactness:
-    # SOevenPlus/Minus give upper bounds, on their 550 blocks
+    # (GL at d = 2 too). Each block is evaluated once per exactness:
+    # SOevenPlus/Minus give upper bounds, on 550 blocks of their own
     calls = _count_block_evaluations(monkeypatch)
     spec = SweepSpec(
         families=(
@@ -900,10 +901,10 @@ def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
     }
     assert len(report.rows) == 7600 and len(distinct) == 950
     assert all(row["two_path_checked"] for row in report.rows)
-    assert calls == {"closed": 950, "slots": 950, "verdict": 1500}
+    assert calls == {"closed": 1500, "slots": 1500, "verdict": 1500}
     # the block table belongs to one call: a second sweep evaluates again
     again = sweep(spec, CountCache())
-    assert calls == {"closed": 1900, "slots": 1900, "verdict": 3000}
+    assert calls == {"closed": 3000, "slots": 3000, "verdict": 3000}
     assert again.to_csv() == report.to_csv()
 
 
