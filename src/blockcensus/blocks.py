@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import slots
 from ._version import __version__
@@ -128,6 +128,7 @@ __all__ = [
     "bound_thm_slnproof",
     "block_invariants",
     "SweepSpec",
+    "Row",
     "CensusReport",
     "REPORT_COLUMNS",
     "sweep",
@@ -439,7 +440,8 @@ def _weight_group(family: str, profile: EllProfile) -> tuple[int, int, int]:
     """The per-group step of block_invariants for a weight family: the
     checks that do not depend on w, then the slot denominator and the head
     and tail colour counts (denom, head, tail). A sweep runs it once per q
-    of a run that passes it (_weight_run).
+    of a run, and keeps a failure for every row that reaches it
+    (_weight_run).
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
     (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
@@ -650,64 +652,81 @@ def _weight_param(family: str, ell: int, d: int, a: int, w: int, q: int | None) 
     return {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
 
 
-REPORT_COLUMNS = (
-    "family",
-    "n",
-    "ell",
-    "d",
-    "a",
-    "w",
-    "g",
-    "m",
-    "k_B",
-    "exactness",
-    "defect_exponent",
-    "abelian",
-    "verdict",
-    "two_path_checked",
-)
+class Row(NamedTuple):
+    """One census row, a record whose fields are the report columns in
+    order. A column that does not apply to the row's family is None, and so
+    is every count of an ERROR or INTERNAL_MISMATCH row."""
+
+    family: str | None = None
+    n: int | None = None
+    ell: int | None = None
+    d: int | None = None
+    a: int | None = None
+    w: int | None = None
+    g: int | None = None
+    m: int | None = None
+    k_B: int | None = None
+    exactness: str | None = None
+    defect_exponent: int | None = None
+    abelian: bool | None = None
+    verdict: str | None = None
+    two_path_checked: bool | None = None
+
+    def get(self, column: str, default=None):
+        """The value in a report column, or default for a name that is not
+        one, as a dict row reads."""
+        return getattr(self, column) if column in self._fields else default
 
 
-# The REPORT_COLUMNS values of a row that has them all, in one call.
-_column_values = operator.itemgetter(*REPORT_COLUMNS)
+REPORT_COLUMNS = Row._fields
 
 
-def _row_cells(row: dict) -> list[str]:
-    """The text of a row's REPORT_COLUMNS cells, read in one call: None (or
-    a missing column) is empty, a bool is lowercase, anything else is its
-    str. A bool is tested by identity, since 1 == True."""
-    try:
-        values = _column_values(row)
-    except KeyError:
-        values = map(row.get, REPORT_COLUMNS)
-    return [
+def _row_cells(values) -> tuple[str, ...]:
+    """The text of a sequence of column values, such as a Row: None is
+    empty, a bool is lowercase, anything else is its str. A bool is tested
+    by identity, since 1 == True."""
+    return tuple([
         "" if value is None
         else "true" if value is True
         else "false" if value is False
         else str(value)
         for value in values
-    ]
+    ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensusReport:
-    rows: list[dict]
+    """A census, immutable: rows holds one Row per row, in
+    SweepSpec.row_params order, and cells the REPORT_COLUMNS text of each
+    row, built together with the rows; errors holds the message of each
+    ERROR or INTERNAL_MISMATCH row, in row order. A report built without
+    cells derives them from its rows, one _row_cells call per row. The
+    writers read cells only."""
+
+    rows: tuple[Row, ...]
     metadata: dict
-    errors: list[str] = field(default_factory=list)
+    errors: tuple[str, ...] = ()
+    cells: tuple[tuple[str, ...], ...] | None = None
+
+    def __post_init__(self) -> None:
+        rows = tuple(self.rows)
+        if self.cells is None:
+            cells = tuple(map(_row_cells, rows))
+        else:
+            cells = tuple(self.cells)
+        if len(cells) != len(rows):
+            raise ValueError(f"a report of {len(rows)} rows has {len(cells)} cell rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "errors", tuple(self.errors))
 
     def row_strings(self) -> list[dict]:
-        return [dict(zip(REPORT_COLUMNS, _row_cells(row))) for row in self.rows]
-
-    def has_violation(self) -> bool:
-        return any(row.get("verdict") == VIOLATION for row in self.rows)
-
-    def has_internal_mismatch(self) -> bool:
-        return any(row.get("verdict") == INTERNAL_MISMATCH for row in self.rows)
+        return [dict(zip(REPORT_COLUMNS, row)) for row in self.cells]
 
     def to_csv(self) -> str:
-        lines = [f"# {key}: {self.metadata[key]}" for key in self.metadata]
+        lines = [f"# {key}: {value}" for key, value in self.metadata.items()]
         lines.append(",".join(REPORT_COLUMNS))
-        lines += [",".join(_row_cells(row)) for row in self.rows]
+        lines += map(",".join, self.cells)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -715,11 +734,11 @@ class CensusReport:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_markdown(self) -> str:
-        lines = [f"- {key}: {self.metadata[key]}" for key in self.metadata]
+        lines = [f"- {key}: {value}" for key, value in self.metadata.items()]
         lines.append("")
         lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
         lines.append("|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
-        lines += ["| " + " | ".join(_row_cells(row)) + " |" for row in self.rows]
+        lines += ["| " + " | ".join(row) + " |" for row in self.cells]
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -747,125 +766,146 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
     return ERROR, str(exc)
 
 
+def _weight_axis(ws: tuple[int, ...]) -> tuple[tuple, dict, list[int]]:
+    """What a sweep checks once about its w values, for all its runs: the
+    w, g and m cells of each w in spec order; the _row_failure of each w
+    that _require_weight refuses; and the distinct accepted w, largest
+    first."""
+    distinct = dict.fromkeys(ws)
+    failures = {}
+    for w in distinct:
+        try:
+            _require_weight(w)
+        except Exception as exc:
+            failures[w] = _row_failure(exc)
+    accepted = sorted((w for w in distinct if w not in failures), reverse=True)
+    return tuple(_row_cells((w, None, None)) for w in ws), failures, accepted
+
+
 def _weight_run(
     family: str,
     ell: int,
     d: int,
     a: int,
     spec: SweepSpec,
+    axis: tuple[tuple, dict, list[int]],
     table: dict,
     cache: CountCache,
     check_two_path: bool,
-) -> tuple[list[dict], list[str | None]]:
-    """The rows of one run, which share (family, ell, d, a), and their error
-    messages (None for a row without one), in row_params order: over the
-    spec's w values, each over its q axis.
+) -> tuple[list[Row], list[tuple[str, ...]], list[str]]:
+    """The rows of one run, which share (family, ell, d, a), their cells and
+    their error messages, in row_params order: over the spec's w values,
+    each over its q axis. axis is the sweep's _weight_axis.
 
-    Each row meets the checks in the order block_invariants does: the
-    profile, then the row's own w, then the _weight_group checks. The
-    profile and group checks of a q run on its first row that reaches
-    them, and once they pass, groups[q] keeps the profile, the
-    _weight_group values and the q's entry of the block table; a failing
-    one raises again on every row that reaches it, so every such row gets
-    the same message.
+    Each row fails at the first check that refuses it, in the order
+    block_invariants checks: the profile, then the row's own w, then the
+    _weight_group checks. The profile and group checks run once per q and
+    the w check once per sweep, and each failure is kept for every row
+    that reaches it. All q that pass share one block key, since the run
+    fixes (d, a).
 
-    table is the sweep's block table: table[ell, a, denom, exactness]
-    maps each w to the block's _weight_values. It stores no failure, so a
-    mismatch raises on every row of its block, naming the row's own
-    family.
+    table is the sweep's block table: table[ell, a, denom, exactness] maps
+    each w to the block's _weight_values and their six cells. The run
+    evaluates its missing blocks largest w first, so the first grows every
+    grow-only CountCache table it reads to the length the run needs, and
+    the others read prefixes. The table stores no failure: a mismatch is
+    kept for this run only, so every run names its own family.
 
-    The run is evaluated largest w first (rows of equal w in q order), so
-    its first row grows every grow-only CountCache table it reads to the
-    length the run needs, and the other rows read prefixes."""
-    exactness = exactness_for(family)
-    ws, qs = spec.w_values, spec._q_axis()
-    groups = {}
-    rows = [None] * (len(ws) * len(qs))
-    messages = [None] * len(rows)
-    # reverse keeps the sort stable, so equal w keep their row order
-    for wi in sorted(range(len(ws)), key=ws.__getitem__, reverse=True):
-        w = ws[wi]
-        for i, q in enumerate(qs, wi * len(qs)):
+    Then the rows are assembled in row order from table reads and tuples: a
+    row's cells are the run's head cells, the w cells and the block's
+    cells, each formatted once."""
+    w_cells, w_failures, accepted = axis
+    qs = spec._q_axis()
+    # per q, the failure of the profile check and of the group check, each
+    # None where it passes; no row reaches the group check without a w
+    checks = []
+    block = None
+    for q in qs:
+        try:
+            profile = EllProfile(ell, d, a, q)
+        except Exception as exc:
+            checks.append((_row_failure(exc), None))
+            continue
+        group_failure = None
+        if accepted:
             try:
-                checked = groups.get(q)
-                if checked is None:
-                    profile = EllProfile(ell, d, a, q)
-                    _require_weight(w)
-                    group = _weight_group(family, profile)
-                    known = table.setdefault((ell, a, group[0], exactness), {})
-                    checked = groups[q] = profile, group, known
-                else:
-                    _require_weight(w)
-                profile, group, known = checked
-                values = known.get(w)
-                if values is None:
-                    values = known[w] = _weight_values(
-                        family, profile, group, w, cache, check_two_path
-                    )
+                block = profile, _weight_group(family, profile)
             except Exception as exc:
-                result, text = _row_failure(exc)
-                values = (None, None, None, None, result, None)
-                param = _weight_param(family, ell, d, a, w, q)
-                messages[i] = f"{family} row {param}: {text}"
-            k, row_exactness, exp, abelian, result, two_path_checked = values
-            rows[i] = {
-                "family": family,
-                "n": None,
-                "ell": ell,
-                "d": d,
-                "a": a,
-                "w": w,
-                "g": None,
-                "m": None,
-                "k_B": k,
-                "exactness": row_exactness,
-                "defect_exponent": exp,
-                "abelian": abelian,
-                "verdict": result,
-                "two_path_checked": two_path_checked,
-            }
-    return rows, messages
+                group_failure = _row_failure(exc)
+        checks.append((None, group_failure))
+    known, block_failures = {}, {}
+    if block is not None:
+        profile, group = block
+        known = table.setdefault((ell, a, group[0], exactness_for(family)), {})
+        for w in accepted:
+            if w in known:
+                continue
+            try:
+                values = _weight_values(family, profile, group, w, cache, check_two_path)
+            except Exception as exc:
+                block_failures[w] = _row_failure(exc)
+            else:
+                known[w] = values, _row_cells(values)
+    head = (family, None, ell, d, a)
+    head_cells = _row_cells(head)
+    rows, cells, errors = [], [], []
+    for w, w_cell in zip(spec.w_values, w_cells):
+        row_head = head + (w, None, None)
+        row_head_cells = head_cells + w_cell
+        w_failure = w_failures.get(w)
+        block_failure = block_failures.get(w)
+        entry = known.get(w)
+        if entry is not None:
+            # Row._make without its Python-level call, which cost about
+            # 3 ms of census-wide's sweep; the parts have fixed lengths
+            row = tuple.__new__(Row, row_head + entry[0])
+            row_cells = row_head_cells + entry[1]
+        for q, (profile_failure, group_failure) in zip(qs, checks):
+            failure = profile_failure or w_failure or group_failure or block_failure
+            # a row that passes every check has its w's block entry
+            if failure is None:
+                rows.append(row)
+                cells.append(row_cells)
+                continue
+            result, text = failure
+            failed = (None, None, None, None, result, None)
+            rows.append(Row._make(row_head + failed))
+            cells.append(row_head_cells + _row_cells(failed))
+            errors.append(f"{family} row {_weight_param(family, ell, d, a, w, q)}: {text}")
+    return rows, cells, errors
 
 
 def _principal_row(
     param: dict, cache: CountCache, check_two_path: bool
-) -> tuple[dict, str | None]:
+) -> tuple[Row, str | None]:
     """One special-linear-range or PSLell sweep row and its error message,
-    if any, from one BlockQuery and one block_invariants call."""
-    family = param["family"]
-    row = {col: None for col in REPORT_COLUMNS}
-    row.update(
-        family=family,
-        ell=param.get("ell"),
-        d=param.get("d"),
-        a=param.get("a"),
-        n=param.get("n"),
-        g=param.get("g"),
-    )
+    if any, from one BlockQuery and one block_invariants call. The row
+    shows the query's g and m once the query is built."""
+    family, ell, d, a, n = (param[key] for key in ("family", "ell", "d", "a", "n"))
+    g, m = param.get("g"), None
     try:
-        profile = EllProfile(param["ell"], param["d"], param["a"], param.get("q"))
+        profile = EllProfile(ell, d, a, param["q"])
         if family == PSLELL:
-            query = BlockQuery(family, profile, n=param["n"], g=profile.a, m=1)
-            row.update(g=profile.a, m=1)
+            query = BlockQuery(family, profile, n=n, g=profile.a, m=1)
         else:
-            n = param["n"]
             # BlockQuery refuses n < 1; valuation(ell, 0) is undefined
-            m = min(valuation(profile.ell, n), profile.a) if n >= 1 else 0
-            query = BlockQuery(family, profile, n=n, g=param["g"], m=m)
-            row.update(m=m)
+            query = BlockQuery(
+                family, profile, n=n, g=g,
+                m=min(valuation(profile.ell, n), profile.a) if n >= 1 else 0,
+            )
+        g, m = query.g, query.m
         inv = block_invariants(query, cache, check_two_path)
     except Exception as exc:
-        row["verdict"], text = _row_failure(exc)
-        return row, f"{family} row {param}: {text}"
-    row.update(
-        k_B=inv.k_B,
-        exactness=inv.exactness,
-        defect_exponent=inv.defect_exponent,
-        abelian=inv.abelian_defect,
-        verdict=inv.verdict,
-        two_path_checked=inv.two_path_checked,
-    )
-    return row, None
+        result, text = _row_failure(exc)
+        values = (None, None, None, None, result, None)
+        message = f"{family} row {param}: {text}"
+    else:
+        values = (
+            inv.k_B, inv.exactness, inv.defect_exponent, inv.abelian_defect,
+            inv.verdict, inv.two_path_checked,
+        )
+        message = None
+    return Row._make((family, n, ell, d, a, None, g, m) + values), message
 
 
 def sweep(
@@ -874,42 +914,44 @@ def sweep(
     check_two_path: bool = True,
     timestamp: str | None = None,
 ) -> CensusReport:
-    """Evaluate every row of the sweep and assemble the report, rows and
-    errors in SweepSpec.row_params order.
+    """Evaluate every row of the sweep and assemble the report: its rows,
+    their cells and errors in SweepSpec.row_params order.
 
     The rows of a weight family come in runs that share (family, ell, d, a)
-    and differ in w and q (_weight_run). The profile and group checks run
-    once per q of a run that passes them, and each distinct block (ell, a,
-    slot denominator, exactness, w) is evaluated once per call, in one
-    block table: GL and GU share a block at equal d, as do Sp, SOodd and
-    the GO even orthogonal families at equal 2d', and GL at d = 2 with
-    them at d' = 1; the SO even orthogonal families share theirs, which
-    give upper bounds. The census-wide grid's 7,600 rows are 1,500 such
-    evaluations. The counts depend on the block alone, since the colour
-    counts and the cached slot series are functions of (ell, a, denom), so
-    sharing them weakens no check. The block table lives for this call
-    only. Every row still gets the verdict, error text and report bytes of
-    a block_invariants call of its own.
+    and differ in w and q (_weight_run). The w values are checked once per
+    call, the profile and group checks once per q of a run, and each
+    distinct block (ell, a, slot denominator, exactness, w) is evaluated and
+    formatted once per call, in one block table: GL and GU share a block at
+    equal d, as do Sp, SOodd and the GO even orthogonal families at equal
+    2d', and GL at d = 2 with them at d' = 1; the SO even orthogonal
+    families share theirs, which give upper bounds. The census-wide grid's
+    7,600 rows are 1,500 such evaluations. The counts depend on the block
+    alone, since the colour counts and the cached slot series are functions
+    of (ell, a, denom), so sharing them weakens no check. The block table
+    lives for this call only. Every row still gets the verdict, error text
+    and report bytes of a block_invariants call of its own.
 
     The cache tables are prefix-stable, so the order in which a run is
-    evaluated changes no value: each row is stored at its own place and the
-    report bytes are those of an evaluation in row order."""
+    evaluated changes no value: the report bytes are those of an evaluation
+    in row order."""
     cache = cache or shared_cache
     table = {}
-    rows = []
-    errors = []
+    axis = _weight_axis(spec.w_values)
+    rows, cells, errors = [], [], []
     for family in spec.families:
         if family in WEIGHT_FAMILIES:
             for ell, d, a in spec._weight_runs():
-                run_rows, messages = _weight_run(
-                    family, ell, d, a, spec, table, cache, check_two_path
+                run_rows, run_cells, run_errors = _weight_run(
+                    family, ell, d, a, spec, axis, table, cache, check_two_path
                 )
                 rows += run_rows
-                errors += filter(None, messages)
+                cells += run_cells
+                errors += run_errors
         else:
             for param in spec._principal_params(family):
                 row, message = _principal_row(param, cache, check_two_path)
                 rows.append(row)
+                cells.append(_row_cells(row))
                 if message:
                     errors.append(message)
     metadata = {
@@ -919,4 +961,4 @@ def sweep(
     }
     if timestamp is not None:
         metadata["timestamp"] = timestamp
-    return CensusReport(rows=rows, metadata=metadata, errors=errors)
+    return CensusReport(rows=rows, metadata=metadata, errors=errors, cells=cells)

@@ -223,7 +223,7 @@ def _cmd_census(args) -> int:
         sys.stdout.write(text)
     for message in report.errors:
         print(f"error: {message}", file=sys.stderr)
-    verdicts = {row.get("verdict") for row in report.rows}
+    verdicts = {row.verdict for row in report.rows}
     return 2 if {blocks.VIOLATION, blocks.INTERNAL_MISMATCH} & verdicts else 0
 
 

@@ -103,13 +103,13 @@ def test_criterion_06_strong_form_verdicts():
         assert not report.errors
         assert len(report.rows) == 486
         for row in report.rows:
-            if row["w"] >= row["ell"]:
-                assert row["verdict"] == blocks.HOLDS_STRICT, row
+            if row.w >= row.ell:
+                assert row.verdict == blocks.HOLDS_STRICT, row
             else:
-                assert row["verdict"] != blocks.VIOLATION, row
-                if row["verdict"] == blocks.HOLDS_EQUALITY_ABELIAN:
-                    assert row["abelian"] is True
-                assert row["verdict"] != blocks.HOLDS_NONSTRICT, row
+                assert row.verdict != blocks.VIOLATION, row
+                if row.verdict == blocks.HOLDS_EQUALITY_ABELIAN:
+                    assert row.abelian is True
+                assert row.verdict != blocks.HOLDS_NONSTRICT, row
 
 
 def test_criterion_07_symplectic_spot_value():

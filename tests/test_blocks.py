@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from collections import Counter
@@ -168,15 +169,15 @@ def test_block_query_refuses_g_above_a():
     report = sweep(SweepSpec(
         families=(blocks.SLRANGE,), ell_values=(3,), n_values=(1, 3, 9), g_values=(0, 1, 2),
     ))
-    assert [(r["n"], r["g"], r["verdict"] == blocks.ERROR) for r in report.rows] == [
+    assert [(r.n, r.g, r.verdict == blocks.ERROR) for r in report.rows] == [
         (n, g, g == 2) for n in (1, 3, 9) for g in (0, 1, 2)
     ]
     assert report.errors and all(e.endswith(": g must be <= a") for e in report.errors)
-    assert not report.has_internal_mismatch()
+    assert blocks.INTERNAL_MISMATCH not in {r.verdict for r in report.rows}
     for row in report.rows:
-        if row["g"] <= 1:
-            query = BlockQuery(blocks.SLRANGE, EllProfile(3, 1, 1), n=row["n"], g=row["g"], m=row["m"])
-            assert row["k_B"] == k_principal_slrange(query)
+        if row.g <= 1:
+            query = BlockQuery(blocks.SLRANGE, EllProfile(3, 1, 1), n=row.n, g=row.g, m=row.m)
+            assert row.k_B == k_principal_slrange(query)
 
 
 def test_profile_consistency_check():
@@ -401,11 +402,11 @@ def test_sweep_row_layout():
     report = sweep(_small_spec())
     # d expands to the divisors of ell - 1 = 2
     assert len(report.rows) == 6
-    assert [r["d"] for r in report.rows] == [1, 1, 1, 2, 2, 2]
-    assert [r["w"] for r in report.rows] == [0, 1, 2, 0, 1, 2]
-    assert all(r["verdict"] != "ERROR" for r in report.rows)
+    assert [r.d for r in report.rows] == [1, 1, 1, 2, 2, 2]
+    assert [r.w for r in report.rows] == [0, 1, 2, 0, 1, 2]
+    assert all(r.verdict != "ERROR" for r in report.rows)
     assert not report.errors
-    assert not report.has_violation()
+    assert blocks.VIOLATION not in {r.verdict for r in report.rows}
     assert report.metadata["tool"] == "blockcensus"
     assert "timestamp" not in report.metadata
 
@@ -413,16 +414,16 @@ def test_sweep_row_layout():
 def test_sweep_error_rows_are_isolated():
     # ell divides q: the profile for that row cannot be derived
     report = sweep(_small_spec(q_values=(3,)))
-    assert all(r["verdict"] == "ERROR" for r in report.rows)
+    assert all(r.verdict == "ERROR" for r in report.rows)
     assert len(report.errors) == len(report.rows)
-    assert not report.has_violation()
+    assert blocks.VIOLATION not in {r.verdict for r in report.rows}
     good = sweep(_small_spec(q_values=(4,)))
     # w < ell everywhere here, so every valid row sits at the abelian bound
-    assert [r["verdict"] for r in good.rows if r["d"] == 1] == [
+    assert [r.verdict for r in good.rows if r.d == 1] == [
         blocks.HOLDS_EQUALITY_ABELIAN
     ] * 3
     # d = 2 rows disagree with the witnessed profile and become errors
-    assert all(r["verdict"] == "ERROR" for r in good.rows if r["d"] == 2)
+    assert all(r.verdict == "ERROR" for r in good.rows if r.d == 2)
 
 
 def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypatch):
@@ -434,18 +435,18 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
         w_values=(1, 10**20),
     )
     report = sweep(spec, CountCache())
-    assert [r["verdict"] for r in report.rows] == [
+    assert [r.verdict for r in report.rows] == [
         blocks.HOLDS_EQUALITY_ABELIAN,
         blocks.ERROR,
     ]
-    assert not report.has_internal_mismatch()
+    assert blocks.INTERNAL_MISMATCH not in {r.verdict for r in report.rows}
 
     def inexact(*args):
         return exact_div(13, 4)
 
     monkeypatch.setattr(slots, "block_count_proof_path", inexact)
     report = sweep(spec, CountCache())
-    assert [r["verdict"] for r in report.rows] == [
+    assert [r.verdict for r in report.rows] == [
         blocks.INTERNAL_MISMATCH,
         blocks.ERROR,
     ]
@@ -457,8 +458,8 @@ def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypa
 
     monkeypatch.setattr(slots, "block_count_proof_path", overflow)
     report = sweep(spec, CountCache())
-    assert [r["verdict"] for r in report.rows] == [blocks.ERROR, blocks.ERROR]
-    assert not report.has_internal_mismatch()
+    assert [r.verdict for r in report.rows] == [blocks.ERROR, blocks.ERROR]
+    assert blocks.INTERNAL_MISMATCH not in {r.verdict for r in report.rows}
 
 
 def test_sweep_report_does_not_depend_on_cache_state():
@@ -492,10 +493,9 @@ def test_sweep_report_does_not_depend_on_cache_state():
 
 
 def test_sweep_checks_each_passing_group_once(monkeypatch):
-    # the group check of a passing (family, profile) runs on its first row
-    # only; a failing one raises again on each row that reaches it, since
-    # the run's group table stores no exception, and rows refused for w < 0
-    # never do
+    # the group check of a (family, profile) runs once per run and q,
+    # passing or failing: a failure is kept for every row of the q that
+    # reaches it. A q whose rows are all refused for w < 0 is never checked
     real = blocks._check_profile_consistency
     calls = []
 
@@ -513,27 +513,27 @@ def test_sweep_checks_each_passing_group_once(monkeypatch):
         q_values=(2, 4, 11),
     )
     report = sweep(spec, CountCache())
-    expected = Counter()
-    for param in spec.row_params():
-        key = (
-            param["family"],
-            EllProfile(param["ell"], param["d"], param["a"], param["q"]),
-        )
-        if param["w"] < 0:
-            continue
+    keys = {
+        (param["family"], EllProfile(param["ell"], param["d"], param["a"], param["q"]))
+        for param in spec.row_params()
+    }
+    assert Counter(calls) == Counter(keys)
+    passing = []
+    for key in keys:
         try:
             real(*key)
         except ValueError:
-            expected[key] += 1
-        else:
-            expected[key] = 1
-    assert Counter(calls) == expected
-    passing = [key for key, count in expected.items() if count == 1]
-    failing = [key for key, count in expected.items() if count == 3]
-    assert passing and failing and len(passing) + len(failing) == len(expected)
-    assert sum(row["verdict"] == blocks.ERROR for row in report.rows) == (
+            continue
+        passing.append(key)
+    assert 0 < len(passing) < len(keys)
+    assert sum(row.verdict == blocks.ERROR for row in report.rows) == (
         len(spec.row_params()) - 3 * len(passing)
     )
+    calls.clear()
+    refused = sweep(SweepSpec(**{**vars(spec), "w_values": (-1, -2)}), CountCache())
+    assert calls == []
+    assert {row.verdict for row in refused.rows} == {blocks.ERROR}
+    assert all(e.endswith(": w must be >= 0") for e in refused.errors)
 
 
 def test_sweep_starts_no_thread(monkeypatch):
@@ -616,7 +616,7 @@ def test_spec_hash_stability():
 def test_sweep_psl_rows_fix_g_and_m():
     spec = SweepSpec(families=(blocks.PSLELL,), ell_values=(3,), a_values=(1, 2))
     report = sweep(spec)
-    assert [(r["g"], r["m"], r["k_B"]) for r in report.rows] == [
+    assert [(r.g, r.m, r.k_B) for r in report.rows] == [
         (1, 1, 6),
         (2, 1, 13),
     ]
@@ -633,7 +633,7 @@ def test_sweep_psl_rows_check_the_witnessed_profile():
         q_values=(4, 11),
     )
     report = sweep(spec)
-    verdicts = [(r["family"], r["verdict"]) for r in report.rows]
+    verdicts = [(r.family, r.verdict) for r in report.rows]
     assert verdicts[0] == (blocks.PSLELL, "ERROR")
     assert verdicts[1][0] == blocks.PSLELL and verdicts[1][1] != "ERROR"
     assert verdicts[2] == (blocks.SLRANGE, "ERROR")
@@ -671,10 +671,10 @@ def _reference_row(param, cache, check_two_path=True):
         inv = block_invariants(query, cache, check_two_path)
     except ArithmeticError as exc:
         row.update(verdict=blocks.INTERNAL_MISMATCH)
-        return row, f"{family} row {param}: internal mismatch: {exc}"
+        return blocks.Row(**row), f"{family} row {param}: internal mismatch: {exc}"
     except Exception as exc:
         row.update(verdict=blocks.ERROR)
-        return row, f"{family} row {param}: {exc}"
+        return blocks.Row(**row), f"{family} row {param}: {exc}"
     row.update(
         k_B=inv.k_B,
         exactness=inv.exactness,
@@ -683,7 +683,7 @@ def _reference_row(param, cache, check_two_path=True):
         verdict=inv.verdict,
         two_path_checked=inv.two_path_checked,
     )
-    return row, None
+    return blocks.Row(**row), None
 
 
 # Every family over q witnesses that pass and fail the consistency check
@@ -718,11 +718,11 @@ _SYNTHETIC = {blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}
 
 def _reference_sweep(spec, cache, check_two_path=True):
     results = [_reference_row(param, cache, check_two_path) for param in spec.row_params()]
-    return [row for row, _ in results], [message for _, message in results if message]
+    return [row for row, _ in results], tuple(message for _, message in results if message)
 
 
 def _row_items(rows):
-    return [list(row.items()) for row in rows]
+    return [list(row._asdict().items()) for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -740,7 +740,7 @@ def test_sweep_matches_a_per_row_reference(spec, verdicts, check_two_path):
     rows, errors = _reference_sweep(spec, cache, check_two_path)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
-    assert verdicts <= {row["verdict"] for row in rows}
+    assert verdicts <= {row.verdict for row in rows}
 
 
 def test_sweep_mismatch_in_one_ell_fails_only_its_rows(monkeypatch):
@@ -758,14 +758,14 @@ def test_sweep_mismatch_in_one_ell_fails_only_its_rows(monkeypatch):
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
     hit = [
-        row["family"] in blocks.WEIGHT_FAMILIES and row["ell"] == 5
+        row.family in blocks.WEIGHT_FAMILIES and row.ell == 5
         for row in honest.rows
     ]
     assert any(hit)
     for was, now, in_hit in zip(honest.rows, report.rows, hit):
         if in_hit:
-            assert now["verdict"] == blocks.INTERNAL_MISMATCH
-            assert now["k_B"] is None
+            assert now.verdict == blocks.INTERNAL_MISMATCH
+            assert now.k_B is None
         else:
             assert now == was
     assert len(report.errors) == sum(hit)
@@ -808,7 +808,7 @@ def test_sweep_order_matches_a_per_row_reference(w_values, check_two_path):
     rows, errors = _reference_sweep(spec, CountCache(), check_two_path)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
-    verdicts = {row["verdict"] for row in rows}
+    verdicts = {row.verdict for row in rows}
     assert {blocks.ERROR, blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN} <= verdicts
     assert blocks.INTERNAL_MISMATCH not in verdicts
 
@@ -846,7 +846,7 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
         w_values=(0, 400, 500, 600, 700),
     )
     report = sweep(spec, CountCache())
-    assert all(row["two_path_checked"] for row in report.rows)
+    assert all(row.two_path_checked for row in report.rows)
     # GL has slot denominator 1, Sp 2: one slot series each
     assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
     # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
@@ -892,15 +892,15 @@ def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
     report = sweep(spec, CountCache())
     distinct = {
         (
-            row["ell"],
-            row["a"],
-            slots.slot_denominator(blocks.WEIGHT_FAMILIES[row["family"]], row["d"]),
-            row["w"],
+            row.ell,
+            row.a,
+            slots.slot_denominator(blocks.WEIGHT_FAMILIES[row.family], row.d),
+            row.w,
         )
         for row in report.rows
     }
     assert len(report.rows) == 7600 and len(distinct) == 950
-    assert all(row["two_path_checked"] for row in report.rows)
+    assert all(row.two_path_checked for row in report.rows)
     assert calls == {"closed": 1500, "slots": 1500, "verdict": 1500}
     # the block table belongs to one call: a second sweep evaluates again
     again = sweep(spec, CountCache())
@@ -921,10 +921,10 @@ def test_sparse_large_weights_evaluate_only_the_asked_weights(monkeypatch):
     )
     report = sweep(spec, CountCache())
     assert calls == {"closed": 4, "slots": 4, "verdict": 4}
-    assert [row["defect_exponent"] for row in report.rows] == [
+    assert [row.defect_exponent for row in report.rows] == [
         0, 2800 + val_factorial(3, 2800)
     ] * 2
-    assert all(row["verdict"] == blocks.HOLDS_STRICT for row in report.rows[1::2])
+    assert all(row.verdict == blocks.HOLDS_STRICT for row in report.rows[1::2])
 
 
 def test_families_sharing_a_block_keep_their_own_q_checks():
@@ -945,7 +945,7 @@ def test_families_sharing_a_block_keep_their_own_q_checks():
     rows, errors = _reference_sweep(spec, cache)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
-    refused = [(row["family"], row["d"], row["verdict"] == blocks.ERROR) for row in report.rows]
+    refused = [(row.family, row.d, row.verdict == blocks.ERROR) for row in report.rows]
     assert refused == (
         [(blocks.GL, 1, False)] * 3
         + [(blocks.GL, 2, True)] * 3
@@ -991,23 +991,23 @@ def _reference_renderings(report):
 def test_renderers_match_the_row_string_reference():
     big = 10**99 + 7
     rows = [
-        dict.fromkeys(blocks.REPORT_COLUMNS),
-        {**dict.fromkeys(blocks.REPORT_COLUMNS), "family": "GL", "verdict": blocks.ERROR},
-        {
-            "family": "GL", "n": None, "ell": 3, "d": 1, "a": 1, "w": 0, "g": None,
-            "m": None, "k_B": 1, "exactness": blocks.EXACT, "defect_exponent": 0,
-            "abelian": True, "verdict": blocks.HOLDS_EQUALITY_ABELIAN,
-            "two_path_checked": False,
-        },
-        {
-            "family": "SLrange", "n": 1, "ell": 5, "d": 1, "a": 0, "w": None, "g": 0,
-            "m": 0, "k_B": big, "exactness": blocks.UPPER_BOUND, "defect_exponent": 1,
-            "abelian": False, "verdict": blocks.INTERNAL_MISMATCH,
-            "two_path_checked": True,
-        },
-        # a row missing columns, and one with them in another order
-        {"verdict": blocks.ERROR, "k_B": 0},
-        {col: 1 for col in reversed(blocks.REPORT_COLUMNS)},
+        blocks.Row(),
+        blocks.Row(family="GL", verdict=blocks.ERROR),
+        blocks.Row(
+            family="GL", n=None, ell=3, d=1, a=1, w=0, g=None,
+            m=None, k_B=1, exactness=blocks.EXACT, defect_exponent=0,
+            abelian=True, verdict=blocks.HOLDS_EQUALITY_ABELIAN,
+            two_path_checked=False,
+        ),
+        blocks.Row(
+            family="SLrange", n=1, ell=5, d=1, a=0, w=None, g=0,
+            m=0, k_B=big, exactness=blocks.UPPER_BOUND, defect_exponent=1,
+            abelian=False, verdict=blocks.INTERNAL_MISMATCH,
+            two_path_checked=True,
+        ),
+        # a row missing columns, and one with them given in another order
+        blocks.Row(verdict=blocks.ERROR, k_B=0),
+        blocks.Row(**{col: 1 for col in reversed(blocks.REPORT_COLUMNS)}),
     ]
     report = blocks.CensusReport(
         rows=rows,
@@ -1021,3 +1021,95 @@ def test_renderers_match_the_row_string_reference():
     assert report.to_json() == report.render("json") == expected["json"]
     assert str(big) in report.to_csv()
     assert report.to_csv().splitlines()[-1] == ",".join(["1"] * len(blocks.REPORT_COLUMNS))
+
+
+def test_report_rows_are_immutable_records():
+    report = sweep(_small_spec())
+    assert blocks.REPORT_COLUMNS == blocks.Row._fields
+    assert all(type(part) is tuple for part in (report.rows, report.cells, report.errors))
+    row = report.rows[0]
+    assert type(row) is blocks.Row
+    # the dict-style read: a column's value, or the default for any other name
+    assert row.get("verdict") == row.verdict == blocks.HOLDS_EQUALITY_ABELIAN
+    assert row.get("two_path_checked") is True
+    assert row.get("n") is None and row.get("n", "unset") is None
+    assert row.get("q") is None and row.get("count", 0) == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.rows = ()
+    with pytest.raises(ValueError, match="a report of 6 rows has 5 cell rows"):
+        blocks.CensusReport(rows=report.rows, metadata={}, cells=report.cells[:-1])
+
+
+def test_hand_built_report_renders_ints_as_ints():
+    # 1 == True and 0 == False, but a cell tests a bool by identity
+    row = blocks.Row(
+        family="GL", ell=3, d=1, a=1, w=0, k_B=1, abelian=1,
+        verdict=blocks.HOLDS_EQUALITY_ABELIAN, two_path_checked=0,
+    )
+    report = blocks.CensusReport(rows=[row], metadata={"tool": "blockcensus"})
+    cells = ("GL", "", "3", "1", "1", "0", "", "", "1", "", "", "1", blocks.HOLDS_EQUALITY_ABELIAN, "0")
+    assert report.cells == (cells,)
+    assert report.to_csv().splitlines()[-1] == ",".join(cells)
+    assert report.to_markdown().splitlines()[-1] == "| " + " | ".join(cells) + " |"
+    assert json.loads(report.to_json())["rows"] == [dict(zip(blocks.REPORT_COLUMNS, cells))]
+    booled = blocks.CensusReport(
+        rows=[row._replace(abelian=True, two_path_checked=False)], metadata={}
+    )
+    assert booled.cells[0][-3:] == ("true", blocks.HOLDS_EQUALITY_ABELIAN, "false")
+
+
+@pytest.mark.parametrize(
+    "spec, check_two_path, off_by_one",
+    [
+        pytest.param(_MIXED_SPECS[0], True, False, id="witnessed"),
+        pytest.param(_MIXED_SPECS[1], True, False, id="synthetic"),
+        pytest.param(
+            SweepSpec(
+                families=tuple(blocks.WEIGHT_FAMILIES),
+                ell_values=(3, 5, 7),
+                a_values=(1, 2),
+                w_values=tuple(range(13)),
+            ),
+            True,
+            False,
+            id="weight-families",
+        ),
+        pytest.param(
+            SweepSpec(
+                families=blocks.PRINCIPAL_FAMILIES,
+                ell_values=(3, 5, 7),
+                a_values=(1, 2),
+                n_values=(-1, *range(1, 31)),
+                q_values=(4, 11),
+            ),
+            True,
+            False,
+            id="principal-families",
+        ),
+        pytest.param(_MIXED_SPECS[0], False, False, id="witnessed-no-two-path"),
+        pytest.param(_MIXED_SPECS[1], True, True, id="off-by-one-slot-path"),
+    ],
+)
+def test_sweep_renderings_match_a_row_by_row_reference(
+    monkeypatch, spec, check_two_path, off_by_one
+):
+    # the sweep formats each block's cells once and joins them to each
+    # run's head cells; the bytes must be those of formatting every row
+    # with _row_cells, as a report built without cells does
+    if off_by_one:
+        real = slots.block_count_proof_path
+        monkeypatch.setattr(slots, "block_count_proof_path", lambda *args: real(*args) + 1)
+    report = sweep(spec, CountCache(), check_two_path, timestamp="2026-01-01T00:00:00+00:00")
+    reference = blocks.CensusReport(
+        rows=report.rows, metadata=report.metadata, errors=report.errors
+    )
+    assert report.cells == tuple(map(blocks._row_cells, report.rows)) == reference.cells
+    expected = _reference_renderings(report)
+    for fmt in ("csv", "json", "md"):
+        assert report.render(fmt) == reference.render(fmt) == expected[fmt]
+    verdicts = {row.verdict for row in report.rows}
+    assert (blocks.INTERNAL_MISMATCH in verdicts) == off_by_one
+    for cells, row in zip(report.cells, report.rows):
+        if row.k_B is not None:
+            checked = check_two_path and row.family in blocks.WEIGHT_FAMILIES
+            assert cells[-1] == ("true" if checked else "false")

@@ -285,10 +285,10 @@ def test_census_violation_row_exit_code(monkeypatch, capsys):
 
     def doctored(spec, **kwargs):
         report = real_sweep(spec, **kwargs)
-        bad = dict(report.rows[0])
-        bad["verdict"] = blocks.VIOLATION
-        report.rows.append(bad)
-        return report
+        bad = report.rows[0]._replace(verdict=blocks.VIOLATION)
+        return blocks.CensusReport(
+            rows=report.rows + (bad,), metadata=report.metadata, errors=report.errors
+        )
 
     monkeypatch.setattr(cli.blocks, "sweep", doctored)
     code, out, _ = run_cli(
