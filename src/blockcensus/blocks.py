@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import slots
@@ -149,18 +148,22 @@ def valuation(ell: int, n: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class EllProfile:
-    """The (d, a) shape of a prime ell relative to a field size q: d is the
-    order parameter and a the valuation of q**d - 1 at ell. Profiles may be
-    synthetic (q omitted) so sweeps need not hunt for witness field sizes."""
-
+class _EllProfileFields(NamedTuple):
     ell: int
     d: int
     a: int
     q: int | None = None
 
-    def __post_init__(self) -> None:
+
+class EllProfile(_EllProfileFields):
+    """The (d, a) shape of a prime ell relative to a field size q: d is the
+    order parameter and a the valuation of q**d - 1 at ell. Profiles may be
+    synthetic (q omitted) so sweeps need not hunt for witness field sizes."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
         if self.a < 1:
@@ -174,6 +177,7 @@ class EllProfile:
             raise ValueError(
                 f"d={self.d} must divide ell-1={self.ell - 1} for odd ell"
             )
+        return self
 
     @property
     def dprime(self) -> int:
@@ -218,13 +222,7 @@ def ennola_profile(q: int, ell: int) -> EllProfile:
     return _profile(-q, ell, q)
 
 
-@dataclass(frozen=True)
-class BlockQuery:
-    """Addresses one block: a family tag, an ell-adic profile, and either a
-    weight w (weight-addressed families) or a rank n with the index data
-    (g, m) for the principal blocks of the special linear range. The index
-    valuation g is at most the profile's a."""
-
+class _BlockQueryFields(NamedTuple):
     family: str
     profile: EllProfile
     w: int | None = None
@@ -232,7 +230,17 @@ class BlockQuery:
     g: int = 0
     m: int = 0
 
-    def __post_init__(self) -> None:
+
+class BlockQuery(_BlockQueryFields):
+    """Addresses one block: a family tag, an ell-adic profile, and either a
+    weight w (weight-addressed families) or a rank n with the index data
+    (g, m) for the principal blocks of the special linear range. The index
+    valuation g is at most the profile's a."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.g < 0 or self.m < 0:
@@ -263,6 +271,7 @@ class BlockQuery:
         # k_principal_slrange removes, and a bounds its valuation
         if self.g > self.profile.a:
             raise ValueError("g must be <= a")
+        return self
 
 
 def _require_weight(w: int) -> None:
@@ -414,8 +423,7 @@ def bound_thm_slnproof(
     return exact_div(total, ell**a)
 
 
-@dataclass(frozen=True)
-class BlockInvariants:
+class BlockInvariants(NamedTuple):
     k_B: int
     exactness: str
     defect_exponent: int
@@ -539,8 +547,7 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """Parameter ranges for a census sweep. d_values = None expands to all
     divisors of ell - 1 per ell. Weight families consume w_values, the
     special linear range consumes n_values and g_values (default (a,)),
@@ -680,6 +687,13 @@ class Row(NamedTuple):
 
 REPORT_COLUMNS = Row._fields
 
+# One row of CensusReport.to_json, at the depth and in the layout of an
+# indent=2 json.dumps, with a %s for each escaped cell
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_ROW = "    {\n" + ",\n".join(
+    f"      {_json_string(column)}: %s" for column in REPORT_COLUMNS
+) + "\n    }"
+
 
 def _row_cells(values) -> tuple[str, ...]:
     """The text of a sequence of column values, such as a Row: None is
@@ -694,8 +708,14 @@ def _row_cells(values) -> tuple[str, ...]:
     ])
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class _CensusReportFields(NamedTuple):
+    rows: tuple[Row, ...]
+    metadata: dict
+    errors: tuple[str, ...] = ()
+    cells: tuple[tuple[str, ...], ...] | None = None
+
+
+class CensusReport(_CensusReportFields):
     """A census, immutable: rows holds one Row per row, in
     SweepSpec.row_params order, and cells the REPORT_COLUMNS text of each
     row, built together with the rows; errors holds the message of each
@@ -703,22 +723,17 @@ class CensusReport:
     cells derives them from its rows, one _row_cells call per row. The
     writers read cells only."""
 
-    rows: tuple[Row, ...]
-    metadata: dict
-    errors: tuple[str, ...] = ()
-    cells: tuple[tuple[str, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        if self.cells is None:
+    def __new__(cls, rows, metadata, errors=(), cells=None):
+        rows = tuple(rows)
+        if cells is None:
             cells = tuple(map(_row_cells, rows))
         else:
-            cells = tuple(self.cells)
+            cells = tuple(cells)
         if len(cells) != len(rows):
             raise ValueError(f"a report of {len(rows)} rows has {len(cells)} cell rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "errors", tuple(self.errors))
+        return super().__new__(cls, rows, metadata, tuple(errors), cells)
 
     def row_strings(self) -> list[dict]:
         return [dict(zip(REPORT_COLUMNS, row)) for row in self.cells]
@@ -730,8 +745,20 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {"metadata": dict(self.metadata), "rows": self.row_strings()}
-        return json.dumps(payload, indent=2) + "\n"
+        """The bytes of json.dumps({"metadata": ..., "rows": row_strings()},
+        indent=2) plus a newline. An indented dumps runs the pure-Python
+        encoder, so only the metadata goes through it, nested one level by
+        indenting its lines (JSON escapes every newline inside a string);
+        each row fills _JSON_ROW with its cells escaped by the C string
+        encoder."""
+        metadata = json.dumps(dict(self.metadata), indent=2).replace("\n", "\n  ")
+        if self.cells:
+            rows = "[\n" + ",\n".join(
+                [_JSON_ROW % tuple(map(_json_string, row)) for row in self.cells]
+            ) + "\n  ]"
+        else:
+            rows = "[]"
+        return '{\n  "metadata": ' + metadata + ',\n  "rows": ' + rows + "\n}\n"
 
     def to_markdown(self) -> str:
         lines = [f"- {key}: {value}" for key, value in self.metadata.items()]

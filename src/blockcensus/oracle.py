@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import slots
@@ -526,16 +525,14 @@ GROUP_ORDER_CAP = 10_000_000
 MAX_N = 3
 
 
-@dataclass(frozen=True)
-class ClassDatum:
+class ClassDatum(NamedTuple):
     representative: tuple
     size: int
     centralizer_order: int
     element_order: int
 
 
-@dataclass(frozen=True)
-class MatrixGroupCensus:
+class MatrixGroupCensus(NamedTuple):
     group: str
     n: int
     q: int

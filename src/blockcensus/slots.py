@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import (
     CountCache,
@@ -84,8 +84,15 @@ def general_linear_order(rank: int, size: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SlotClass:
+class _SlotClassFields(NamedTuple):
+    level: int
+    slot_count: int
+    unit_weight: int
+    factor_kind: str
+    degree_multiplier: int
+
+
+class SlotClass(_SlotClassFields):
     """One batch of interchangeable slots.
 
     level is the valuation bucket of the root orders (levels 1..a sit at
@@ -95,21 +102,18 @@ class SlotClass:
     of the listed degree.
     """
 
-    level: int
-    slot_count: int
-    unit_weight: int
-    factor_kind: str
-    degree_multiplier: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.slot_count < 1:
             raise ValueError("slot_count must be >= 1")
         if self.unit_weight < 1:
             raise ValueError("unit_weight must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SlotInventory:
+class SlotInventory(NamedTuple):
     family: str
     ell: int
     d: int
@@ -191,8 +195,7 @@ def build_inventory(family: str, ell: int, d: int, a: int) -> SlotInventory:
     return SlotInventory(family, ell, d, dprime_of(d), a, denom, weyl_base=denom)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """One distribution of the weight budget: what stays on the principal
     slot plus a multiplicity tuple per slot class (one entry per slot)."""
 
@@ -242,8 +245,7 @@ def enumerate_weight_vectors(inv: SlotInventory, w: int):
             yield WeightVector(principal, mults)
 
 
-@dataclass(frozen=True)
-class CentralizerShape:
+class CentralizerShape(NamedTuple):
     """Factorized centraliser type attached to one weight vector: a list of
     (kind, rank, field degree multiplier) triples, principal factor first."""
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import slots
 from .counting import partition_count
@@ -60,6 +59,10 @@ def _read_table(filename: str, data_dir: str | Path | None = None) -> list[dict[
     if data_dir is not None:
         text = Path(data_dir, filename).read_text()
     else:
+        # imported here: from Python 3.12 on, importlib.resources loads
+        # inspect, which a census never needs
+        from importlib import resources
+
         text = resources.files("blockcensus.data").joinpath(filename).read_text()
     header: list[str] | None = None
     rows = []
@@ -108,33 +111,43 @@ def unipotent_count(label: str, data_dir=None) -> int:
     raise KeyError(f"no unipotent count stored for label {label!r}")
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class _ClassRowFields(NamedTuple):
     centralizer_label: str
     order_of_t: int
     e_count: int
     class_size: int
     multiplicity: int = 1
 
-    def __post_init__(self) -> None:
+
+class ClassRow(_ClassRowFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.e_count < 1 or self.class_size < 1:
             raise ValueError("e_count and class_size must be >= 1")
         if self.order_of_t < 1 or self.multiplicity < 1:
             raise ValueError("order_of_t and multiplicity must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class _ClassTableFields(NamedTuple):
     group_label: str
     ell: int
     rows: tuple[ClassRow, ...]
 
-    def __post_init__(self) -> None:
+
+class ClassTable(_ClassTableFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not any(r.order_of_t == 1 and r.class_size == 1 for r in self.rows):
             raise ValueError(
                 f"class table {self.group_label} (ell={self.ell}) "
                 "is missing its identity row"
             )
+        return self
 
     def identity_row(self) -> ClassRow:
         return next(r for r in self.rows if r.order_of_t == 1)
@@ -209,8 +222,7 @@ def average_check(table: ClassTable) -> tuple[int, int, bool]:
     return sum_e, sum_sizes, sum_e < sum_sizes
 
 
-@dataclass(frozen=True)
-class E8IsolatedRow:
+class _E8IsolatedRowFields(NamedTuple):
     case_number: int | None
     centralizer_label: str
     levi_label: str
@@ -218,11 +230,17 @@ class E8IsolatedRow:
     defect_coeff: int
     defect_const: int
 
-    def __post_init__(self) -> None:
+
+class E8IsolatedRow(_E8IsolatedRowFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.defect_coeff not in (4, 5, 8):
             raise ValueError(f"defect_coeff must be one of 4, 5, 8: {self.defect_coeff}")
         if self.defect_const not in (0, 1):
             raise ValueError(f"defect_const must be 0 or 1: {self.defect_const}")
+        return self
 
 
 def e8_isolated_rows(data_dir=None) -> tuple[E8IsolatedRow, ...]:
@@ -275,15 +293,20 @@ def e8_series_bound_check(a: int, rows) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class RootSystemDatum:
+class _RootSystemDatumFields(NamedTuple):
     label: str
     rank: int
     positive_roots: int
 
-    def __post_init__(self) -> None:
+
+class RootSystemDatum(_RootSystemDatumFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.rank <= self.positive_roots:
             raise ValueError("need positive_roots >= rank >= 1")
+        return self
 
 
 def root_systems(data_dir=None) -> tuple[RootSystemDatum, ...]:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import threading
 from collections import Counter
@@ -530,7 +529,7 @@ def test_sweep_checks_each_passing_group_once(monkeypatch):
         len(spec.row_params()) - 3 * len(passing)
     )
     calls.clear()
-    refused = sweep(SweepSpec(**{**vars(spec), "w_values": (-1, -2)}), CountCache())
+    refused = sweep(SweepSpec(**{**spec._asdict(), "w_values": (-1, -2)}), CountCache())
     assert calls == []
     assert {row.verdict for row in refused.rows} == {blocks.ERROR}
     assert all(e.endswith(": w must be >= 0") for e in refused.errors)
@@ -873,23 +872,26 @@ def _count_block_evaluations(monkeypatch):
     return calls
 
 
+# the grid of the census-wide benchmark
+_CENSUS_WIDE = SweepSpec(
+    families=(
+        blocks.GL, blocks.GU, blocks.SP, blocks.SOODD, blocks.SOEVEN_PLUS,
+        blocks.SOEVEN_MINUS, blocks.GOEVEN_PLUS, blocks.GOEVEN_MINUS,
+    ),
+    ell_values=(3, 5, 7, 11, 13),
+    a_values=(1, 2),
+    w_values=tuple(range(25)),
+)
+
+
 def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
-    # the grid of the census-wide benchmark: 7,600 rows hold 950 distinct
-    # blocks (ell, a, slot denominator, w), since GL and GU share a block at
-    # equal d, and Sp, SOodd and the even orthogonal families at equal 2d'
-    # (GL at d = 2 too). Each block is evaluated once per exactness:
-    # SOevenPlus/Minus give upper bounds, on 550 blocks of their own
+    # the census-wide grid's 7,600 rows hold 950 distinct blocks (ell, a,
+    # slot denominator, w), since GL and GU share a block at equal d, and
+    # Sp, SOodd and the even orthogonal families at equal 2d' (GL at d = 2
+    # too). Each block is evaluated once per exactness: SOevenPlus/Minus
+    # give upper bounds, on 550 blocks of their own
     calls = _count_block_evaluations(monkeypatch)
-    spec = SweepSpec(
-        families=(
-            blocks.GL, blocks.GU, blocks.SP, blocks.SOODD, blocks.SOEVEN_PLUS,
-            blocks.SOEVEN_MINUS, blocks.GOEVEN_PLUS, blocks.GOEVEN_MINUS,
-        ),
-        ell_values=(3, 5, 7, 11, 13),
-        a_values=(1, 2),
-        w_values=tuple(range(25)),
-    )
-    report = sweep(spec, CountCache())
+    report = sweep(_CENSUS_WIDE, CountCache())
     distinct = {
         (
             row.ell,
@@ -903,7 +905,7 @@ def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
     assert all(row.two_path_checked for row in report.rows)
     assert calls == {"closed": 1500, "slots": 1500, "verdict": 1500}
     # the block table belongs to one call: a second sweep evaluates again
-    again = sweep(spec, CountCache())
+    again = sweep(_CENSUS_WIDE, CountCache())
     assert calls == {"closed": 3000, "slots": 3000, "verdict": 3000}
     assert again.to_csv() == report.to_csv()
 
@@ -1023,6 +1025,54 @@ def test_renderers_match_the_row_string_reference():
     assert report.to_csv().splitlines()[-1] == ",".join(["1"] * len(blocks.REPORT_COLUMNS))
 
 
+def _indented_dumps(report):
+    # to_json as it was: one indented json.dumps of the whole payload
+    payload = {"metadata": dict(report.metadata), "rows": report.row_strings()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _awkward_report():
+    # metadata and cells with quotes, backslashes, control characters and
+    # non-ASCII text, and metadata values of every JSON type
+    cells = (
+        ('GL "quoted"', "back\\slash", "tab\tand\nnewline", "caf\u00e9", "\u2203k(B)",
+         "\U0001d53d_q", "%s %d %%", "", "\x00\x1f\x7f", "</script>", "1", "true", "ERROR", "false"),
+        ("",) * len(blocks.REPORT_COLUMNS),
+    )
+    metadata = {
+        "tool": 'block"census"',
+        "note": "Brauer\u2019s k(B) \u2264 |D| \u2014 d\u00e9j\u00e0 vu\n",
+        "count": 7,
+        "ratio": 0.5,
+        "flag": True,
+        "missing": None,
+        "nested": {"list": [1, "z\u00fc", {"empty": []}], "empty": {}},
+    }
+    return blocks.CensusReport(rows=(blocks.Row(),) * 2, metadata=metadata, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "make_report",
+    [
+        pytest.param(lambda: blocks.CensusReport(rows=(), metadata={}), id="empty"),
+        pytest.param(
+            lambda: blocks.CensusReport(rows=(), metadata={"tool": "blockcensus"}),
+            id="no-rows",
+        ),
+        pytest.param(
+            lambda: sweep(_CENSUS_WIDE, CountCache(), timestamp="2026-01-01T00:00:00Z"),
+            id="census-wide",
+        ),
+        pytest.param(_awkward_report, id="quotes-and-non-ascii"),
+    ],
+)
+def test_to_json_is_the_indented_dumps(make_report):
+    report = make_report()
+    text = report.to_json()
+    assert text == _indented_dumps(report)
+    assert json.loads(text)["rows"] == report.row_strings()
+
+
 def test_report_rows_are_immutable_records():
     report = sweep(_small_spec())
     assert blocks.REPORT_COLUMNS == blocks.Row._fields
@@ -1034,7 +1084,7 @@ def test_report_rows_are_immutable_records():
     assert row.get("two_path_checked") is True
     assert row.get("n") is None and row.get("n", "unset") is None
     assert row.get("q") is None and row.get("count", 0) == 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.rows = ()
     with pytest.raises(ValueError, match="a report of 6 rows has 5 cell rows"):
         blocks.CensusReport(rows=report.rows, metadata={}, cells=report.cells[:-1])

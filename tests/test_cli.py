@@ -799,6 +799,32 @@ def test_census_without_timestamp_never_loads_datetime():
     assert result.stdout.strip() == "[False, False, True]"
 
 
+def test_import_and_census_never_load_dataclasses_or_inspect():
+    # the records are named tuples, and the packaged tables load
+    # importlib.resources (which imports inspect from Python 3.12 on) only
+    # when they are read, so the import and a census in any format load
+    # neither module
+    script = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in ('dataclasses', 'inspect')]\n"
+        "states = [loaded()]\n"
+        "from blockcensus import cli\n"
+        "states.append(loaded())\n"
+        "for fmt in ('csv', 'json', 'md'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['census', '--family', 'GL,Sp,SLrange', '--ell', '3,5', '--w', '0..4',\n"
+        "                  '--n', '1,3', '--format', fmt])\n"
+        "states.append(loaded())\n"
+        "print(states)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[[False, False], [False, False], [False, False]]"
+
+
 # Subcommands in turn, two censuses with different list flags among them
 # (the parser's append defaults must not carry one call's values into the
 # next), a usage error and an oracle census.
