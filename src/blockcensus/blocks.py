@@ -118,7 +118,6 @@ __all__ = [
     "valuation",
     "ell_profile",
     "ennola_profile",
-    "k_unipotent_block",
     "k_principal_slrange",
     "k_principal_pslell",
     "defect_exponent",
@@ -296,21 +295,6 @@ def _require_odd(profile: EllProfile) -> None:
 
 def exactness_for(family: str) -> str:
     return UPPER_BOUND if family in UPPER_BOUND_FAMILIES else EXACT
-
-
-def k_unipotent_block(query: BlockQuery, cache: CountCache | None = None) -> int:
-    """Number of ordinary irreducible characters in the weight-w unipotent
-    block of the given family, after the same profile checks as
-    block_invariants (see _weight_group for the colour counts). The result
-    is exact except for the even special orthogonal groups, where it is
-    only an upper bound (see exactness_for).
-    """
-    if query.family not in WEIGHT_FAMILIES:
-        raise ValueError(f"family {query.family!r} is not weight-addressed")
-    if query.w is None:
-        raise ValueError("weight-addressed query needs w")
-    _, head, tail = _weight_group(query.family, query.profile)
-    return composition_sum(query.profile.ell, head, tail, query.w, cache)
 
 
 def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> int:
@@ -735,9 +719,6 @@ class CensusReport(_CensusReportFields):
             raise ValueError(f"a report of {len(rows)} rows has {len(cells)} cell rows")
         return super().__new__(cls, rows, metadata, tuple(errors), cells)
 
-    def row_strings(self) -> list[dict]:
-        return [dict(zip(REPORT_COLUMNS, row)) for row in self.cells]
-
     def to_csv(self) -> str:
         lines = [f"# {key}: {value}" for key, value in self.metadata.items()]
         lines.append(",".join(REPORT_COLUMNS))
@@ -745,12 +726,12 @@ class CensusReport(_CensusReportFields):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """The bytes of json.dumps({"metadata": ..., "rows": row_strings()},
-        indent=2) plus a newline. An indented dumps runs the pure-Python
-        encoder, so only the metadata goes through it, nested one level by
-        indenting its lines (JSON escapes every newline inside a string);
-        each row fills _JSON_ROW with its cells escaped by the C string
-        encoder."""
+        """The bytes of json.dumps({"metadata": ..., "rows": [...]}, indent=2)
+        plus a newline, each row the dict of REPORT_COLUMNS to its cells. An
+        indented dumps runs the pure-Python encoder, so only the metadata
+        goes through it, nested one level by indenting its lines (JSON
+        escapes every newline inside a string); each row fills _JSON_ROW
+        with its cells escaped by the C string encoder."""
         metadata = json.dumps(dict(self.metadata), indent=2).replace("\n", "\n  ")
         if self.cells:
             rows = "[\n" + ",\n".join(

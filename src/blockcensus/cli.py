@@ -401,9 +401,21 @@ def _parse_tuple(text: str, flag: str, arity: int) -> tuple[int, ...]:
 def _cmd_oracle(args) -> int:
     if not (args.gl or args.gmpn or args.multi):
         raise CliError("nothing to do: pass --gl, --gmpn, or --multi")
+    # every tuple is parsed and checked before the first census runs, so a
+    # usage error exits with no result printed
+    gl = [(text, _parse_tuple(text, "gl", 3)) for text in args.gl]
+    gmpn = [(text, _parse_tuple(text, "gmpn", 3)) for text in args.gmpn]
+    multi = [(text, _parse_tuple(text, "multi", 2)) for text in args.multi]
+    for text, (s_max, t_max) in multi:
+        if s_max < 1 or t_max < 0:
+            raise CliError(f"--multi {text}: need S >= 1 and T >= 0")
+        if s_max > oracle.ENUM_MAX_COLOURS or t_max > oracle.ENUM_MAX_SIZE:
+            raise CliError(
+                f"--multi {text}: enumeration cap exceeded: need "
+                f"S <= {oracle.ENUM_MAX_COLOURS} and T <= {oracle.ENUM_MAX_SIZE}"
+            )
     all_ok = True
-    for text in args.gl:
-        n, q, ell = _parse_tuple(text, "gl", 3)
+    for text, (n, q, ell) in gl:
         start = time.perf_counter()
         try:
             census = oracle.gl_ell_class_census(n, q, ell)
@@ -421,8 +433,7 @@ def _cmd_oracle(args) -> int:
             f"{census.ell_element_total} elements of ell-power order, "
             f"calculus match {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)"
         )
-    for text in args.gmpn:
-        m, p, n = _parse_tuple(text, "gmpn", 3)
+    for text, (m, p, n) in gmpn:
         start = time.perf_counter()
         try:
             count = oracle.gmpn_class_count(m, p, n)
@@ -443,22 +454,16 @@ def _cmd_oracle(args) -> int:
             )
         else:
             print(f"gmpn m={m} p={p} n={n}: {count} classes ({elapsed:.2f}s)")
-    for text in args.multi:
-        s_max, t_max = _parse_tuple(text, "multi", 2)
-        if s_max < 1 or t_max < 0:
-            raise CliError(f"--multi {text}: need S >= 1 and T >= 0")
+    for _, (s_max, t_max) in multi:
         start = time.perf_counter()
         ok = True
         first_bad = ""
-        try:
-            for s in range(1, s_max + 1):
-                for t in range(t_max + 1):
-                    if oracle.multipartition_enumerate(s, t) != multipartition_count(s, t):
-                        if ok:
-                            first_bad = f" first mismatch at s={s}, t={t}"
-                        ok = False
-        except ValueError as exc:
-            raise CliError(f"--multi {text}: {exc}") from None
+        for s in range(1, s_max + 1):
+            for t in range(t_max + 1):
+                if oracle.multipartition_enumerate(s, t) != multipartition_count(s, t):
+                    if ok:
+                        first_bad = f" first mismatch at s={s}, t={t}"
+                    ok = False
         all_ok = all_ok and ok
         elapsed = time.perf_counter() - start
         print(
@@ -489,8 +494,8 @@ def _check_p_ell_bound(wmax: int) -> tuple[bool, str]:
     return True, f"ell in (2, 3, 5), w <= {wmax}"
 
 
-def _check_two_ell(ary=(3, 5, 7)) -> tuple[bool, str]:
-    for ell in ary:
+def _check_two_ell() -> tuple[bool, str]:
+    for ell in (3, 5, 7):
         if p_ell(ell, 2 * ell) != 3:
             return False, f"fails at ell={ell}"
     return True, "value 3 at twice the prime, ell in (3, 5, 7)"

@@ -1,5 +1,5 @@
 """Exact counting kernel: partitions, coloured partitions, prime-power
-compositions and the core counts that drive the block bookkeeping.
+compositions and the composition sums that drive the block bookkeeping.
 
 Everything is plain Python int arithmetic, so nothing overflows. The few
 divisions performed along the way are provably exact for valid parameters
@@ -30,7 +30,6 @@ __all__ = [
     "composition_sum",
     "k_ell_a_w",
     "val_factorial",
-    "d_core_count",
     "gmpn_irr_count",
 ]
 
@@ -389,28 +388,6 @@ def val_factorial(ell: int, w: int) -> int:
         total += w // power
         power *= ell
     return total
-
-
-def d_core_count(m: int, d: int, cache: CountCache | None = None) -> int:
-    """Number of partitions of m with no hook of length d.
-
-    Coefficient of x**m in prod_n (1 - x**(d n))**d / (1 - x**n): the product
-    part is expanded as a truncated polynomial, one factor 1 - x**g at a time
-    in place, and convolved with the partition numbers. Its coefficients
-    are signed, so it never goes through _mul_trunc.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    cache = cache or shared_cache
-    poly = [1] + [0] * m
-    for g in range(d, m + 1, d):
-        for _ in range(d):
-            # descending, so poly[i - g] still holds the value before this factor
-            for i in range(m, g - 1, -1):
-                poly[i] -= poly[i - g]
-    return sum(poly[j] * cache.partition_count(m - j) for j in range(m + 1) if poly[j])
 
 
 def gmpn_irr_count(m: int, p: int, n: int, cache: CountCache | None = None) -> int:

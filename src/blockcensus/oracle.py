@@ -18,7 +18,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 import random
 from typing import NamedTuple
 
@@ -28,12 +27,6 @@ from .counting import is_prime
 
 __all__ = [
     "partitions_of",
-    "conjugate_partition",
-    "hook_lengths",
-    "is_d_core",
-    "d_core_census",
-    "compositions_into",
-    "multipartition_tuples",
     "multipartition_enumerate",
     "SmallField",
     "mat_identity",
@@ -79,63 +72,10 @@ def partitions_of(t: int, max_part: int | None = None):
             yield (head,) + rest
 
 
-def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
-
-
-def hook_lengths(lam: tuple[int, ...]) -> list[int]:
-    """All hook lengths of the diagram, row by row."""
-    conj = conjugate_partition(lam)
-    hooks = []
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks.append(row - j + conj[j] - i - 1)
-    return hooks
-
-
-def is_d_core(lam: tuple[int, ...], d: int) -> bool:
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return all(h != d for h in hook_lengths(lam))
-
-
-def d_core_census(m: int, d: int) -> int:
-    """Count d-cores of size m by enumerating partitions and checking hooks."""
-    return sum(1 for lam in partitions_of(m) if is_d_core(lam, d))
-
-
-def compositions_into(total: int, parts: int):
-    """Yield the weak compositions of total into exactly `parts` slots, in
-    lexicographic order. Stars and bars: bar i stands after c_i of the
-    stars, 0 <= c_1 <= ... <= c_{parts-1} <= total, and the parts are the
-    differences of consecutive c_i, with c_0 = 0 and c_parts = total."""
-    if parts < 0 or total < 0:
-        raise ValueError("need total >= 0 and parts >= 0")
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    end = (total,)
-    for bars in itertools.combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(operator.sub, bars + end, (0,) + bars))
-
-
 @functools.lru_cache(maxsize=None)
 def _partition_list(t: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions of t, materialized once and shared by the enumerators."""
+    """The partitions of t, materialized once for multipartition_enumerate."""
     return tuple(partitions_of(t))
-
-
-def multipartition_tuples(s: int, t: int):
-    """Yield every s-tuple of partitions with sizes summing to t. Only for
-    small inputs; the counting path is multipartition_enumerate."""
-    if s < 1 or t < 0:
-        raise ValueError("need s >= 1 and t >= 0")
-    for sizes in compositions_into(t, s):
-        pools = [_partition_list(sz) for sz in sizes]
-        yield from itertools.product(*pools)
 
 
 def multipartition_enumerate(s: int, t: int) -> int:
@@ -314,14 +254,8 @@ class SmallField:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]
@@ -609,21 +543,6 @@ def _conjugation(tables: RowTables, g, ginv):
     return conjugate
 
 
-def conjugacy_class(field: SmallField, x, conjugators):
-    """Orbit of x under conjugation by the given (g, g**-1) pairs, closed
-    by breadth-first search. The search runs on row codes (see
-    SmallField.row_tables): each conjugator becomes one table of right
-    multiplication by g and the scale tables of the entries of g**-1, so
-    one conjugation is a few dozen list reads, not two matrix products."""
-    tables = field.row_tables(len(x))
-    orbit = _closure(
-        tuple(map(tables.index.__getitem__, x)),
-        [_conjugation(tables, g, ginv) for g, ginv in conjugators],
-        field.q ** (len(x) * len(x)),  # no orbit outgrows the matrix space
-    )
-    return {tuple(map(tables.rows.__getitem__, z)) for z in orbit}
-
-
 def _class_data(field: SmallField, n: int, elements, conjugators, order: int):
     """Close each element of `elements`, in sorted order, to its class
     under the conjugators, skipping those an earlier class holds. Returns the
@@ -747,17 +666,12 @@ def gl_ell_class_census(
     return MatrixGroupCensus("GL", n, q, ell, order, tuple(classes))
 
 
-def census_matches_weight_vectors(
-    census: MatrixGroupCensus, inventory: slots.SlotInventory | None = None
-) -> bool:
+def census_matches_weight_vectors(census: MatrixGroupCensus) -> bool:
     """Confront a brute-force census with the weight-vector calculus: the
     class count and the multiset of centralizer orders must both match the
     predictions read off the slot inventory for the same (n, q, ell)."""
     profile = ell_profile(census.q, census.ell)
-    if inventory is None:
-        inventory = slots.build_inventory(slots.LINEAR, census.ell, profile.d, profile.a)
-    if (inventory.ell, inventory.d, inventory.a) != (census.ell, profile.d, profile.a):
-        raise ValueError("inventory does not match the census parameters")
+    inventory = slots.build_inventory(slots.LINEAR, census.ell, profile.d, profile.a)
     w, r = divmod(census.n, profile.d)
     vectors = list(slots.enumerate_weight_vectors(inventory, w))
     if len(vectors) != len(census.classes):

@@ -124,8 +124,7 @@ class SlotInventory(NamedTuple):
 
     def _factor_descriptor(self, level_scale: int) -> tuple[str, int]:
         if self.family in (LINEAR, UNITARY):
-            kind = LINEAR if self.family == LINEAR else UNITARY
-            return kind, self.d * level_scale
+            return self.family, self.d * level_scale
         # symplectic and even orthogonal pair the slots; an odd order
         # parameter keeps linear factors of full degree, an even one
         # produces unitary factors over the half-degree extension.
@@ -202,11 +201,6 @@ class WeightVector(NamedTuple):
     principal: int
     mults: tuple[tuple[int, ...], ...]
 
-    def twisted_weight(self, classes: tuple[SlotClass, ...]) -> int:
-        return sum(
-            sum(occ) * cls.unit_weight for cls, occ in zip(classes, self.mults)
-        )
-
 
 def _occupancy_vectors(count: int, unit_weight: int, budget: int):
     if count == 0:
@@ -268,8 +262,7 @@ def centralizer_shape(inv: SlotInventory, vec: WeightVector, w: int, r: int = 0)
     multiple of d). Slots with multiplicity zero contribute nothing.
     """
     classes = inv.slot_classes(w)
-    principal_kind = LINEAR if inv.family == LINEAR else inv.family
-    factors = [(principal_kind, inv.d * vec.principal + r, 1)]
+    factors = [(inv.family, inv.d * vec.principal + r, 1)]
     for cls, occ in zip(classes, vec.mults):
         for m in occ:
             if m:

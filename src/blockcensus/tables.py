@@ -35,7 +35,6 @@ __all__ = [
     "e8_defect_order",
     "e8_series_bound_check",
     "root_systems",
-    "root_system",
     "fg_margin",
 ]
 
@@ -177,9 +176,9 @@ def class_table(name: str, data_dir=None) -> ClassTable:
 _FACTOR_RE = re.compile(r"~?(\d?[A-G]\d+)\(q[^)]*\)(?:\^(\d+))?")
 
 
-def _simple_factor_count(name: str, data_dir) -> int | None:
+def _simple_factor_count(name: str) -> int | None:
     try:
-        return unipotent_count(name, data_dir)
+        return unipotent_count(name)
     except KeyError:
         pass
     core = name.lstrip("23")
@@ -189,7 +188,7 @@ def _simple_factor_count(name: str, data_dir) -> int | None:
     return None
 
 
-def label_product_count(label: str, data_dir=None) -> int | None:
+def label_product_count(label: str) -> int | None:
     """Unipotent character count a plain product centralizer label should
     carry: one factor per simple component, torus factors contribute 1.
     Returns None for labels this cannot validate, namely those with a bare
@@ -206,7 +205,7 @@ def label_product_count(label: str, data_dir=None) -> int | None:
         match = _FACTOR_RE.fullmatch(part)
         if match is None:
             return None
-        count = _simple_factor_count(match.group(1), data_dir)
+        count = _simple_factor_count(match.group(1))
         if count is None:
             return None
         total *= count ** int(match.group(2) or 1)
@@ -314,13 +313,6 @@ def root_systems(data_dir=None) -> tuple[RootSystemDatum, ...]:
         RootSystemDatum(row["label"], int(row["rank"]), int(row["positive_roots"]))
         for row in _read_table("root_systems.tsv", data_dir)
     )
-
-
-def root_system(label: str, data_dir=None) -> RootSystemDatum:
-    for datum in root_systems(data_dir):
-        if datum.label == label:
-            return datum
-    raise KeyError(f"no root system stored for label {label!r}")
 
 
 def fg_margin(datum: RootSystemDatum, q: int) -> bool:

@@ -81,7 +81,7 @@ def test_criterion_05_two_path_equivalence():
         rows = 0
         for family, ell, d, a, w in _grid():
             query = blocks.BlockQuery(family, blocks.EllProfile(ell, d, a), w=w)
-            closed = blocks.k_unipotent_block(query)
+            closed = blocks.block_invariants(query, check_two_path=False).k_B
             proof = slots.block_count_proof_path(
                 blocks.WEIGHT_FAMILIES[family], ell, d, a, w
             )
@@ -224,7 +224,7 @@ def test_criterion_14_defining_characteristic_margin():
         assert big
         for datum in big:
             assert tables.fg_margin(datum, 2), datum.label
-        b2 = tables.root_system("B2")
+        b2 = next(d for d in tables.root_systems() if d.label == "B2")
         for q in (2, 3, 4, 5):
             assert not tables.fg_margin(b2, q)
         for q in (6, 7, 8, 9):

@@ -19,7 +19,6 @@ from blockcensus.blocks import (
     is_abelian_defect,
     k_principal_pslell,
     k_principal_slrange,
-    k_unipotent_block,
     spec_hash,
     sweep,
     valuation,
@@ -190,12 +189,13 @@ def test_profile_consistency_check():
     uq = BlockQuery(blocks.GU, EllProfile(5, 2, 1, q=6), w=1)
     assert block_invariants(uq).k_B == 4
     # 3 divides 2 + 1, so q = 2 witnesses d = 2, not the d = 1 asked for;
-    # both entries refuse the query with one message, on every call
+    # the query is refused with one message, with the two-path check or
+    # without, on every call
     query = BlockQuery(blocks.GL, EllProfile(3, 1, 1, q=2), w=1)
     messages = set()
-    for entry in (k_unipotent_block, block_invariants, k_unipotent_block):
+    for check_two_path in (False, True, False):
         with pytest.raises(ValueError, match=r"derived \(d=2, a=1\)") as info:
-            entry(query)
+            block_invariants(query, check_two_path=check_two_path)
         messages.add(str(info.value))
     assert len(messages) == 1
 
@@ -216,7 +216,8 @@ K_BLOCK_VALUES = {
 def test_k_unipotent_block_values():
     for (family, ell, d, a, w), expected in K_BLOCK_VALUES.items():
         query = BlockQuery(family, EllProfile(ell, d, a), w=w)
-        assert k_unipotent_block(query) == expected, (family, ell, d, a, w)
+        k_b = block_invariants(query, check_two_path=False).k_B
+        assert k_b == expected, (family, ell, d, a, w)
 
 
 def test_k_unipotent_block_matches_split_closed_form():
@@ -224,16 +225,15 @@ def test_k_unipotent_block_matches_split_closed_form():
         for a in (1, 2, 3):
             for w in range(7):
                 query = BlockQuery(blocks.GL, EllProfile(ell, 1, a), w=w)
-                assert k_unipotent_block(query) == k_ell_a_w(ell, a, w)
+                k_b = block_invariants(query, check_two_path=False).k_B
+                assert k_b == k_ell_a_w(ell, a, w)
 
 
 def test_k_unipotent_block_rejects():
     with pytest.raises(ValueError, match="odd"):
-        k_unipotent_block(BlockQuery(blocks.GL, EllProfile(2, 1, 1), w=1))
-    with pytest.raises(ValueError, match="weight-addressed"):
-        k_unipotent_block(BlockQuery(blocks.SLRANGE, EllProfile(3, 1, 1), n=2))
+        block_invariants(BlockQuery(blocks.GL, EllProfile(2, 1, 1), w=1), check_two_path=False)
     with pytest.raises(ValueError, match="needs w"):
-        k_unipotent_block(BlockQuery(blocks.GL, EllProfile(3, 1, 1)))
+        block_invariants(BlockQuery(blocks.GL, EllProfile(3, 1, 1)), check_two_path=False)
 
 
 SL_VALUES = {
@@ -595,9 +595,14 @@ def test_report_formats():
     assert report.render("csv") == csv_text
 
 
+def _cell_dicts(report):
+    # each row's cells keyed by their column names
+    return [dict(zip(blocks.REPORT_COLUMNS, cells)) for cells in report.cells]
+
+
 def test_boolean_cells_render_lowercase():
     report = sweep(_small_spec())
-    strings = report.row_strings()
+    strings = _cell_dicts(report)
     assert strings[0]["abelian"] == "true"
     assert strings[0]["two_path_checked"] == "true"
     assert strings[0]["n"] == ""
@@ -1017,7 +1022,7 @@ def test_renderers_match_the_row_string_reference():
         errors=["GL row {}: w must be >= 0"],
     )
     expected = _reference_renderings(report)
-    assert report.row_strings() == expected["strings"]
+    assert _cell_dicts(report) == expected["strings"]
     assert report.to_csv() == report.render("csv") == expected["csv"]
     assert report.to_markdown() == report.render("md") == expected["md"]
     assert report.to_json() == report.render("json") == expected["json"]
@@ -1027,7 +1032,7 @@ def test_renderers_match_the_row_string_reference():
 
 def _indented_dumps(report):
     # to_json as it was: one indented json.dumps of the whole payload
-    payload = {"metadata": dict(report.metadata), "rows": report.row_strings()}
+    payload = {"metadata": dict(report.metadata), "rows": _cell_dicts(report)}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -1070,7 +1075,7 @@ def test_to_json_is_the_indented_dumps(make_report):
     report = make_report()
     text = report.to_json()
     assert text == _indented_dumps(report)
-    assert json.loads(text)["rows"] == report.row_strings()
+    assert json.loads(text)["rows"] == _cell_dicts(report)
 
 
 def test_report_rows_are_immutable_records():

@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 
@@ -12,7 +11,6 @@ from blockcensus.counting import (
     CountCache,
     _mul_trunc,
     composition_sum,
-    d_core_count,
     exact_div,
     gmpn_irr_count,
     is_prime,
@@ -431,33 +429,6 @@ def test_sigma_sieve_is_prefix_stable():
         grown._extend_sigma(n)
     expected = [0] + [sum(i for i in range(1, n + 1) if n % i == 0) for n in range(1, 258)]
     assert grown._sigma == expected
-
-
-def _d_core_reference(m, d):
-    # prod_n (1 - x**(d n))**d expanded by binomials and a full schoolbook
-    # product, then convolved with the partition numbers
-    poly = [1] + [0] * m
-    for n in range(1, m // d + 1):
-        factor = [0] * (m + 1)
-        for k in range(min(d, m // (d * n)) + 1):
-            factor[d * n * k] = (-1) ** k * math.comb(d, k)
-        poly = _schoolbook(poly, factor, m)
-    return sum(poly[j] * partition_count(m - j) for j in range(m + 1))
-
-
-def test_d_core_count_is_the_schoolbook_expansion():
-    for d in range(1, 7):
-        for m in range(61):
-            assert d_core_count(m, d, CountCache()) == _d_core_reference(m, d), (m, d)
-
-
-def test_d_core_count_values():
-    assert d_core_count(3, 2) == 1
-    assert d_core_count(4, 3) == 2
-    assert d_core_count(0, 4) == 1
-    for m in range(1, 10):
-        # 1-cores beyond the empty partition do not exist
-        assert d_core_count(m, 1) == 0
 
 
 GMPN_VALUES = {

@@ -137,7 +137,8 @@ def test_enumerate_weight_vectors_unique_and_balanced():
         assert key not in seen
         seen.add(key)
         classes = inv.slot_classes(4)
-        assert vec.principal + vec.twisted_weight(classes) == 4
+        twisted = sum(sum(occ) * cls.unit_weight for cls, occ in zip(classes, vec.mults))
+        assert vec.principal + twisted == 4
 
 
 def _brute_force_vector_count(inv, w):
@@ -309,7 +310,7 @@ def test_two_path_equality_spot_grid():
                         query = blocks.BlockQuery(
                             family, blocks.EllProfile(ell, d, a), w=w
                         )
-                        closed = blocks.k_unipotent_block(query)
+                        closed = blocks.block_invariants(query, check_two_path=False).k_B
                         proof = slots.block_count_proof_path(slot_family, ell, d, a, w)
                         assert closed == proof, (family, ell, d, a, w, closed, proof)
 
@@ -328,7 +329,7 @@ def test_two_path_equality_large_weight(family, ell, a, w):
     from blockcensus import blocks
 
     query = blocks.BlockQuery(family, blocks.EllProfile(ell, 1, a), w=w)
-    closed = blocks.k_unipotent_block(query)
+    closed = blocks.block_invariants(query, check_two_path=False).k_B
     proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], ell, 1, a, w)
     assert closed == proof
 
@@ -485,9 +486,11 @@ def test_slot_path_reads_no_sigma_row(monkeypatch):
     # nor a coloured-partition row is touched; at w = 450 and ell = 3 the
     # stride-3 fold and the principal product go through the packed kernel
     expected = {
-        family: blocks.k_unipotent_block(
-            blocks.BlockQuery(family, blocks.EllProfile(3, 1, 1), w=450), CountCache()
-        )
+        family: blocks.block_invariants(
+            blocks.BlockQuery(family, blocks.EllProfile(3, 1, 1), w=450),
+            CountCache(),
+            check_two_path=False,
+        ).k_B
         for family in ("GL", "Sp")
     }
 
@@ -533,7 +536,7 @@ def test_slot_series_growth():
 def test_two_path_equality_large_weight_property(family, d, a, w):
     cache = CountCache()
     query = blocks.BlockQuery(family, blocks.EllProfile(3, d, a), w=w)
-    closed = blocks.k_unipotent_block(query, cache)
+    closed = blocks.block_invariants(query, cache, check_two_path=False).k_B
     proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], 3, d, a, w, cache)
     assert closed == proof
 
