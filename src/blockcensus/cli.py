@@ -406,6 +406,15 @@ def _cmd_oracle(args) -> int:
     gl = [(text, _parse_tuple(text, "gl", 3)) for text in args.gl]
     gmpn = [(text, _parse_tuple(text, "gmpn", 3)) for text in args.gmpn]
     multi = [(text, _parse_tuple(text, "multi", 2)) for text in args.multi]
+    for option, tuples, check in (
+        ("gl", gl, oracle.check_gl_census),
+        ("gmpn", gmpn, oracle.check_gmpn),
+    ):
+        for text, values in tuples:
+            try:
+                check(*values)
+            except ValueError as exc:
+                raise CliError(f"--{option} {text}: {exc}") from None
     for text, (s_max, t_max) in multi:
         if s_max < 1 or t_max < 0:
             raise CliError(f"--multi {text}: need S >= 1 and T >= 0")

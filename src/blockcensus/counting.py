@@ -16,6 +16,7 @@ tests/test_counting.py pins it against a literal schoolbook product.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 __all__ = [
@@ -54,12 +55,15 @@ def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
 
     Short operands take the schoolbook loop. Long ones are multiplied by
     Kronecker substitution: each series is written as one decimal integer
-    with a fixed-width slot per coefficient, wide enough for any product
-    coefficient, so the slots of the integer product are the coefficients
-    of the series product. libmpdec multiplies long operands by a
-    number-theoretic transform. The slot width is checked against the
-    int/str conversion limit (sys.get_int_max_str_digits), and wider
-    coefficients take the schoolbook loop, so the limit is never changed.
+    with a fixed-width slot per coefficient, so the slots of the integer
+    product are the coefficients of the series product. libmpdec
+    multiplies long operands by a number-theoretic transform. The slot
+    width (_slot_width) bounds every coefficient that is read, 0..m, not
+    those past m: a slot past m may overflow, but a carry only moves to
+    higher slots, so the slots read from the low end stay exact. The
+    width is checked against the int/str conversion limit
+    (sys.get_int_max_str_digits), and wider coefficients take the
+    schoolbook loop, so the limit is never changed.
     """
     square = a is b
     a = a[: m + 1]
@@ -68,14 +72,13 @@ def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
         a, b = b, a
     la, lb = len(a), len(b)
     if la >= KRONECKER_MIN_LEN:
-        bound = max(a) * max(b) * la  # no product coefficient exceeds it
-        if not bound:
-            return [0] * (m + 1)
         try:
-            width = len(str(bound))
+            width = _slot_width(a, b, m)
         except ValueError:  # wider than the int/str conversion limit
             pass
         else:
+            if not width:
+                return [0] * (m + 1)
             return _kronecker(a, b, m, width)
     rb = b[::-1]
     out = [sum(map(operator.mul, a, b[n::-1])) for n in range(min(m + 1, lb))]
@@ -84,6 +87,30 @@ def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
         for n in range(lb, min(m + 1, la + lb - 1))
     ]
     return out + [0] * (m + 1 - len(out))
+
+
+def _slot_width(a: list[int], b: list[int], m: int) -> int:
+    """Decimal digits of a bound on the coefficients 0..m of a * b, or 0 if
+    they are all zero; a and b are nonempty, truncated at m and
+    len(a) <= len(b). Raises ValueError past the int/str conversion limit.
+
+    With B* the running maximum of b (B*_j = max(b) from the end of b on)
+    and top = min(m, len(a) + len(b) - 2), the coefficient c_n with
+    n <= top is a sum of at most min(len(a), top + 1) terms a_i b_(n-i),
+    each at most a_i B*_(top-i) since B* never decreases. Never above
+    max(a) * max(b) * len(a), and equal to it when the maxima come first."""
+    la, lb = len(a), len(b)
+    top = min(m, la + lb - 2)
+    reach = min(la - 1, top)  # the largest i with a term a_i b_(n-i)
+    prefix = b[: top + 1]
+    # a nondecreasing series, such as a partition power, is its own running
+    # maximum; the check stops at the first descent
+    if not all(map(operator.le, prefix, prefix[1:])):
+        prefix = list(itertools.accumulate(prefix, max))
+    # B*_(top-reach), ..., B*_top, paired in reverse with a_0, ..., a_reach
+    high = prefix[top - reach :] + [prefix[-1]] * (top + 1 - lb)
+    peak = max(map(operator.mul, a, reversed(high)))  # stops after a_reach
+    return len(str(min(la, top + 1) * peak)) if peak else 0
 
 
 def _kronecker(a: list[int], b: list[int], m: int, width: int) -> list[int]:
@@ -134,13 +161,16 @@ class CountCache:
     Tables: the partition numbers, the divisor sums sigma(n), one row
     k(s, 0..) per colour count s, one p_ell table per prime, and one tail
     series c_t(0..) per (ell, t) for composition_sum. The slot path owns
-    one more, holding one series per (ell, a, denom): the slot product
-    that slots.block_count_proof_path reads its counts from. Nothing in
-    the closed-form path reads it, and the slot path reads neither the
+    two more: one series per (ell, a, denom), the slot product that
+    slots.block_count_proof_path reads its counts from, and one partition
+    power P(x)**c per exponent c, which only slots._partition_power reads,
+    so slot keys that need the same power share it. Nothing in the
+    closed-form path reads either, and the slot path reads neither the
     sigma table nor the coloured-partition rows. Every table only grows,
     and a fresh cache recomputes identical values, so a longer table never
-    changes an entry already read. The slot series grow by replacement
-    with a longer list, the others by appending.
+    changes an entry already read. The slot series and the partition
+    powers grow by replacement with a longer list, the others by
+    appending.
 
     A cache is single-threaded: a table is extended in place with no lock.
     A program that counts from several threads gives each thread its own
@@ -154,6 +184,7 @@ class CountCache:
         self._ppower: dict[int, list[int]] = {}
         self._tails: dict[tuple[int, int], list[int]] = {}
         self._slots: dict[tuple[int, int, int], list[int]] = {}
+        self._powers: dict[int, list[int]] = {}
 
     def partition_count(self, t: int) -> int:
         """Number of partitions of t, by the pentagonal-number recurrence."""
@@ -244,11 +275,12 @@ class CountCache:
         shorter entry is replaced by build(max(n, 2 * len)), so a sweep of
         ascending n rebuilds it O(log n) times; an entry is never changed
         after it is stored."""
-        series = self._slots.get(key)
-        if series is None or n >= len(series):
-            series = build(max(n, 2 * len(series)) if series else n)
-            self._slots[key] = series
-        return series
+        return _grown(self._slots, key, n, build)
+
+    def _power_series(self, c: int, n: int, build) -> list[int]:
+        """P(x)**c, holding at least n + 1 entries, for the slot path's
+        slots._partition_power; grown as _slot_series grows its series."""
+        return _grown(self._powers, c, n, build)
 
     def p_ell(self, ell: int, w: int) -> int:
         """Number of ways to write w as an ordered sum of ell-power levels.
@@ -276,6 +308,15 @@ class CountCache:
                 val += tab[n // ell]
             tab.append(val)
         return tab
+
+
+def _grown(table: dict, key, n: int, build) -> list[int]:
+    # replaces a missing or shorter entry by build(max(n, 2 * len))
+    series = table.get(key)
+    if series is None or n >= len(series):
+        series = build(max(n, 2 * len(series)) if series else n)
+        table[key] = series
+    return series
 
 
 def _online_row(

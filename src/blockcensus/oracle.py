@@ -39,11 +39,13 @@ __all__ = [
     "gl_generators",
     "ClassDatum",
     "MatrixGroupCensus",
+    "check_gl_census",
     "gl_ell_class_census",
     "census_matches_weight_vectors",
     "gmpn_identity",
     "gmpn_mul",
     "gmpn_inv",
+    "check_gmpn",
     "gmpn_elements",
     "gmpn_generators",
     "gmpn_class_count",
@@ -626,6 +628,27 @@ def _sylow_subgroup(field, n, q, ell, nu, order, rng_seed):
     return group
 
 
+def check_gl_census(n: int, q: int, ell: int) -> int:
+    """Refuse, with a ValueError, a (n, q, ell) that gl_ell_class_census
+    cannot run: n past MAX_N, ell not an odd prime or dividing q, a group
+    order past GROUP_ORDER_CAP, or a field size outside the supported
+    range. Returns the order of GL_n(q)."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"census cap exceeded: n must be 1..{MAX_N}, got {n}")
+    if not is_prime(ell) or ell == 2:
+        raise ValueError(f"ell must be an odd prime, got {ell}")
+    if q % ell == 0:
+        raise ValueError("ell must not divide q")
+    order = gl_order(n, q)
+    if order > GROUP_ORDER_CAP:
+        raise ValueError(
+            f"census cap exceeded: |GL_{n}({q})| = {order} > {GROUP_ORDER_CAP}"
+        )
+    if q not in _SUPPORTED_Q:
+        raise ValueError(f"q = {q} is out of the supported range {_SUPPORTED_Q}")
+    return order
+
+
 def gl_ell_class_census(
     n: int,
     q: int,
@@ -639,17 +662,7 @@ def gl_ell_class_census(
     closed under conjugation. By Frobenius's theorem the number of
     solutions of x**(ell**nu) = 1 is a multiple of ell**nu, so classes
     that cover any other number are a RuntimeError."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"census cap exceeded: n must be 1..{MAX_N}, got {n}")
-    if not is_prime(ell) or ell == 2:
-        raise ValueError(f"ell must be an odd prime, got {ell}")
-    if q % ell == 0:
-        raise ValueError("ell must not divide q")
-    order = gl_order(n, q)
-    if order > GROUP_ORDER_CAP:
-        raise ValueError(
-            f"census cap exceeded: |GL_{n}({q})| = {order} > {GROUP_ORDER_CAP}"
-        )
+    order = check_gl_census(n, q, ell)
     field = SmallField(q, modulus)
     nu = valuation(ell, order)
     gens = gl_generators(field, n)
@@ -719,9 +732,10 @@ def gmpn_order(m: int, p: int, n: int) -> int:
     return m**n * math.factorial(n) // p
 
 
-def gmpn_elements(m: int, p: int, n: int):
-    """List the full group: pairs (permutation, exponent vector) with
-    exponent sum divisible by p."""
+def check_gmpn(m: int, p: int, n: int) -> int:
+    """Refuse, with a ValueError, a (m, p, n) that gmpn_elements cannot
+    list: m < 1, p not dividing m, n < 1, or an order past GMPN_CAP.
+    Returns the order of G(m, p, n)."""
     if m < 1:
         raise ValueError("need m >= 1")
     if p < 1 or m % p != 0:
@@ -731,6 +745,13 @@ def gmpn_elements(m: int, p: int, n: int):
     size = gmpn_order(m, p, n)
     if size > GMPN_CAP:
         raise ValueError(f"enumeration cap exceeded: |G({m},{p},{n})| = {size} > {GMPN_CAP}")
+    return size
+
+
+def gmpn_elements(m: int, p: int, n: int):
+    """List the full group: pairs (permutation, exponent vector) with
+    exponent sum divisible by p."""
+    size = check_gmpn(m, p, n)
     elements = []
     for perm in itertools.permutations(range(n)):
         for exps in itertools.product(range(m), repeat=n):

@@ -16,8 +16,9 @@ unit weight u contributes the factor P(x**u)**c, with P the partition
 generating function, and the principal factor is P(x)**weyl_base. The
 principal factor and the base classes all sit at u = 1, so together they
 contribute one power of P, taken by repeated squaring of the truncated
-partition series. The deep classes share one count c at the unit weights
-ell, ell**2, ..., so together they contribute D(x**ell), where
+partition series and kept in the cache per exponent, so slot series that
+need the same power share it. The deep classes share one count c at the
+unit weights ell, ell**2, ..., so together they contribute D(x**ell), where
 D(y) = P(y)**c * D(y**ell) is self-similar: D is built at budget // ell by
 one truncated product per level, each level ell times shorter than the
 last, with no stride loop. One product joins the two.
@@ -285,8 +286,17 @@ def unipotent_block_count(
 
 
 def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
-    """P(x)**c truncated at degree m, for c >= 1, by repeated squaring,
-    where P(x) = sum_v p(v) x**v is the partition generating function."""
+    """P(x)**c truncated at degree m, for c >= 1, where
+    P(x) = sum_v p(v) x**v is the partition generating function.
+
+    Read from the cache's table of partition powers, so slot keys that need
+    the same power share one series; a missing or shorter power is built
+    by repeated squaring. The copy stops at m: a slot series is read to its
+    full length, and past its budget it lacks the deep factor."""
+    return cache._power_series(c, m, lambda top: _squared_power(c, top, cache))[: m + 1]
+
+
+def _squared_power(c: int, m: int, cache: CountCache) -> list[int]:
     base = [cache.partition_count(v) for v in range(m + 1)]
     power = None
     while True:

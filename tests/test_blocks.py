@@ -822,8 +822,10 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     # every slot series is built once, at 700, and every coloured-partition
     # row grows once, where an ascending sweep builds each twice
     builds = []
+    powers = []
     grown = {}
     real_slot_series = CountCache._slot_series
+    real_power_series = CountCache._power_series
     real_tuple_row = CountCache._tuple_row
 
     def counted_slot_series(self, key, n, build):
@@ -833,6 +835,13 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
 
         return real_slot_series(self, key, n, counted_build)
 
+    def counted_power_series(self, c, n, build):
+        def counted_build(top):
+            powers.append((c, top))
+            return build(top)
+
+        return real_power_series(self, c, n, counted_build)
+
     def counted_tuple_row(self, s, t):
         before = len(self._tuples.get(s, ()))
         row = real_tuple_row(self, s, t)
@@ -841,6 +850,7 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
         return row
 
     monkeypatch.setattr(CountCache, "_slot_series", counted_slot_series)
+    monkeypatch.setattr(CountCache, "_power_series", counted_power_series)
     monkeypatch.setattr(CountCache, "_tuple_row", counted_tuple_row)
     spec = SweepSpec(
         families=(blocks.GL, blocks.SP),
@@ -853,6 +863,9 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     assert all(row.two_path_checked for row in report.rows)
     # GL has slot denominator 1, Sp 2: one slot series each
     assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
+    # both slot series hold P(x)**3 to 700, built once and read twice; the
+    # deep factors take P(x)**2 (GL) and P(x) (Sp) to 700 // 3
+    assert sorted(powers) == [(1, 233), (2, 233), (3, 700)]
     # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
     assert grown == {3: [701], 2: [234], 1: [234]}
 

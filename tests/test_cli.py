@@ -606,11 +606,19 @@ def test_oracle_bad_tuple(capsys):
         (("--gl", "2,4,3", "--multi", "3,13"), "--multi 3,13: enumeration cap exceeded"),
         (("--gl", "2,4,3", "--gl", "2,4"), "--gl wants 3 comma-separated integers, got '2,4'"),
         (("--multi", "2,2", "--gmpn", "2,x,2"), "--gmpn wants integers, got '2,x,2'"),
+        (("--gl", "2,4,3", "--gl", "4,5,3"), "--gl 4,5,3: census cap exceeded: n must be 1..3, got 4"),
+        (("--gl", "2,4,3", "--gl", "1,6,5"), "--gl 1,6,5: q = 6 is out of the supported range"),
+        (("--gl", "2,4,3", "--gmpn", "0,1,1"), "--gmpn 0,1,1: need m >= 1"),
+        (("--gmpn", "2,1,2", "--gmpn", "4,3,1"), "--gmpn 4,3,1: need p >= 1 dividing m"),
+        (
+            ("--gmpn", "2,1,2", "--gmpn", "10,1,6"),
+            "--gmpn 10,1,6: enumeration cap exceeded: |G(10,1,6)| = 720000000 > 1000000",
+        ),
     ],
 )
 def test_oracle_usage_error_comes_before_any_census(capsys, argv, message):
-    # every tuple is checked before the first census, so no result line
-    # precedes the error
+    # every tuple is checked before the first census, its values by the
+    # function that its census calls, so no result line precedes the error
     code, out, err = run_cli(capsys, "oracle", *argv)
     assert code == 1
     assert out == ""

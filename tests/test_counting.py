@@ -9,7 +9,9 @@ from blockcensus import counting
 from blockcensus.counting import (
     KRONECKER_MIN_LEN,
     CountCache,
+    _kronecker,
     _mul_trunc,
+    _slot_width,
     composition_sum,
     exact_div,
     gmpn_irr_count,
@@ -368,15 +370,73 @@ def test_mul_trunc_packed_is_the_schoolbook_product(a, b, data):
     assert _mul_trunc(b, b, m) == _schoolbook(b, b, m)
 
 
+@st.composite
+def _shaped(draw, lengths):
+    # shapes where the running maximum differs most from the plain maximum:
+    # nondecreasing (partition powers), zero-led, zero-tailed and
+    # stride-spread series
+    length = draw(lengths)
+    coeffs = st.integers(0, 10**3) | st.integers(0, 10**40)
+    kind = draw(st.sampled_from(["nondecreasing", "zero_led", "zero_tailed", "spread"]))
+    if kind == "nondecreasing":
+        return sorted(draw(st.lists(coeffs, min_size=length, max_size=length)))
+    if kind in ("zero_led", "zero_tailed"):
+        zeros = draw(st.integers(0, length))
+        body = draw(st.lists(coeffs, min_size=length - zeros, max_size=length - zeros))
+        return [0] * zeros + body if kind == "zero_led" else body + [0] * zeros
+    u = draw(st.integers(2, 5))
+    spread = [0] * length
+    spread[::u] = sorted(draw(st.lists(coeffs, min_size=len(spread[::u]), max_size=len(spread[::u]))))
+    return spread
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_shaped(_LONG), b=_shaped(_LONG), data=st.data())
+def test_mul_trunc_prefix_maximum_width_is_the_schoolbook_product(a, b, data):
+    # m below, at and above the operand lengths and their product's length
+    short, long = sorted((len(a), len(b)))
+    m = data.draw(
+        st.sampled_from([KRONECKER_MIN_LEN - 1, short - 1, short, long - 1, long, short + long - 2])
+        | st.integers(KRONECKER_MIN_LEN - 1, short + long + 3)
+    )
+    assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+    assert _mul_trunc(a, a, m) == _schoolbook(a, a, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_series(_ANY_LENGTH), b=_series(_ANY_LENGTH), data=st.data())
+def test_slot_width_is_never_wider_than_the_untruncated_bound(a, b, data):
+    # the operands as _mul_trunc hands them over: nonempty, truncated at m,
+    # the shorter first
+    m = data.draw(st.integers(0, len(a) + len(b) + 3))
+    a, b = sorted((a[: m + 1] or [0], b[: m + 1] or [0]), key=len)
+    bound = max(a) * max(b) * len(a)
+    assert _slot_width(a, b, m) <= len(str(bound))
+    assert (_slot_width(a, b, m) == 0) == (_schoolbook(a, b, m) == [0] * (m + 1))
+
+
+def test_mul_trunc_front_loaded_operand_meets_the_end_of_the_longer():
+    # a_0 pairs with b's last coefficient: past the end of b, the bound takes
+    # b's maximum, not zero
+    a = [10**6] + [0] * (KRONECKER_MIN_LEN + 10)
+    b = list(range(1, KRONECKER_MIN_LEN + 60))
+    for m in (len(b) - 1, len(b), len(a) + len(b)):
+        assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+
+
 def test_mul_trunc_slot_width_is_tight():
     # the coefficient at degree len - 1 equals the bound max(a) * max(b) * len
     # that sets the slot width, so a slot one digit narrower would carry
     # into the next one
     for length, x, y in ((KRONECKER_MIN_LEN, 5, 1), (200, 5, 1), (250, 4, 10**6), (400, 1, 25)):
         a, b = [x] * length, [y] * length
-        product = _mul_trunc(a, b, 2 * length)
+        m = 2 * length
+        product = _mul_trunc(a, b, m)
         assert product[length - 1] == x * y * length
-        assert product == _schoolbook(a, b, 2 * length)
+        assert product == _schoolbook(a, b, m)
+        width = _slot_width(a, b, m)
+        assert width == len(str(x * y * length))
+        assert _kronecker(a, b, m, width - 1) != _schoolbook(a, b, m)
     assert _mul_trunc([1, 2], [3], 0) == [3]
     assert _mul_trunc([2], [3, 4], 3) == [6, 8, 0, 0]
     assert _mul_trunc([], [1, 2], 2) == [0, 0, 0]

@@ -507,6 +507,29 @@ def test_slot_path_reads_no_sigma_row(monkeypatch):
         assert slots.block_count_proof_path(weight_family, 3, 1, 1, 450, cache) == count
 
 
+def test_closed_form_reads_no_partition_power(monkeypatch):
+    # the converse: the closed form takes its counts from the sigma
+    # recurrence alone, so neither a partition number nor the slot path's
+    # partition-power table is read at w = 450
+    expected = {
+        family: slots.block_count_proof_path(
+            blocks.WEIGHT_FAMILIES[family], 3, 1, 1, 450, CountCache()
+        )
+        for family in ("GL", "Sp")
+    }
+
+    def refuse(*args):
+        raise AssertionError("the closed form read a partition power")
+
+    for name in ("partition_count", "_power_series"):
+        monkeypatch.setattr(CountCache, name, refuse)
+    for family, count in expected.items():
+        query = blocks.BlockQuery(family, blocks.EllProfile(3, 1, 1), w=450)
+        cache = CountCache()
+        assert blocks.block_invariants(query, cache, check_two_path=False).k_B == count
+        assert cache._powers == {} and cache._partitions == [1]
+
+
 def test_slot_series_growth():
     # entries are rebuilt longer and never changed once stored: one cache
     # grown in any query order must read what one serial cache computes
