@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
     census.add_argument("--config", metavar="PATH")
     census.add_argument("--format", choices=("csv", "json", "md"), default=None)
     census.add_argument("--out", metavar="PATH")
-    census.add_argument("--jobs", type=int, default=None, help="deprecated and ignored")
     census.add_argument("--strip-timestamp", action="store_true")
     census.add_argument(
         "--no-two-path",
@@ -186,9 +185,7 @@ def _single_value(flag_value, config, key, default, convert):
 
 def _cmd_census(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - {
-        "family", "ell", "d", "a", "w", "n", "g", "q", "format", "jobs",
-    }
+    unknown = set(config) - {"family", "ell", "d", "a", "w", "n", "g", "q", "format"}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     spec = _census_spec(args, config)
@@ -199,13 +196,6 @@ def _cmd_census(args) -> int:
     fmt = _single_value(args.format, config, "format", "csv", str)
     if fmt not in ("csv", "json", "md"):
         raise CliError(f"unknown format {fmt!r}")
-    if _single_value(args.jobs, config, "jobs", 1, int) < 1:
-        raise CliError("jobs must be >= 1")
-    if args.jobs is not None or "jobs" in config:
-        print(
-            "warning: --jobs and the jobs config key are ignored and will be removed",
-            file=sys.stderr,
-        )
     timestamp = None
     if not args.strip_timestamp:
         # imported here, so a census without a timestamp never loads it

@@ -6,11 +6,15 @@ divisions performed along the way are provably exact for valid parameters
 and are checked at runtime; an inexact division signals a transcription bug
 upstream, not a rounding concern.
 
-Both census paths take their long series products from one kernel,
-_mul_trunc: the closed form for the coloured-partition rows, the slot path
-for its partition powers and folds. The kernel is an input both paths
-share, like slots.slot_denominator, so the two-path check cannot cover it;
-tests/test_counting.py pins it against a literal schoolbook product.
+The closed form grows all its series by one recurrence: a coloured-partition
+row K_s = P(x)**s and a tail series prod_j K_t(x**(ell**j)) are both Euler
+products, built from their divisor-sum sequence g by one online convolution
+(CountCache._euler_row). Both census paths take their long series products
+from one kernel, _mul_trunc: the closed form inside that convolution, the
+slot path for its partition powers and folds. The kernel is an input both
+paths share, like slots.slot_denominator, so the two-path check cannot
+cover it; tests/test_counting.py pins it against a literal schoolbook
+product.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ def exact_div(num: int, den: int) -> int:
 # partition-number series (Python 3.11, x86_64) the decimal product passed
 # the schoolbook loop between lengths 100 and 200.
 KRONECKER_MIN_LEN = 128
+
+# The ell at which CountCache._euler_row grows the plain row K_s = P(x)**s:
+# its loop over the powers of ell stops at once (at 1 it would never stop).
+PLAIN = 0
 
 
 def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
@@ -158,9 +166,10 @@ def _require_odd_prime(ell: int) -> None:
 class CountCache:
     """Memo tables shared by the counting functions.
 
-    Tables: the partition numbers, the divisor sums sigma(n), one row
-    k(s, 0..) per colour count s, one p_ell table per prime, and one tail
-    series c_t(0..) per (ell, t) for composition_sum. The slot path owns
+    Tables: the partition numbers, the divisor sums sigma(n), one p_ell
+    table per prime, and one Euler-product series per (ell, s), which is
+    the coloured-partition row k(s, 0..) at ell = PLAIN and the tail
+    series c_s(0..) of composition_sum at a prime ell. The slot path owns
     two more: one series per (ell, a, denom), the slot product that
     slots.block_count_proof_path reads its counts from, and one partition
     power P(x)**c per exponent c, which only slots._partition_power reads,
@@ -180,9 +189,8 @@ class CountCache:
     def __init__(self) -> None:
         self._partitions: list[int] = [1]
         self._sigma: list[int] = [0]  # divisor sums, index 0 unused
-        self._tuples: dict[int, list[int]] = {}
+        self._series: dict[tuple[int, int], list[int]] = {}
         self._ppower: dict[int, list[int]] = {}
-        self._tails: dict[tuple[int, int], list[int]] = {}
         self._slots: dict[tuple[int, int, int], list[int]] = {}
         self._powers: dict[int, list[int]] = {}
 
@@ -221,23 +229,33 @@ class CountCache:
                 new[j] += i
         sig.extend(new)
 
-    def _tuple_row(self, s: int, t: int) -> list[int]:
-        """The row k(s, 0..), holding at least t + 1 entries; s >= 0.
+    def _euler_row(self, ell: int, s: int, n: int) -> list[int]:
+        """The series C(0..) = prod_{j>=0} K_s(x**(ell**j)) with
+        K_s = P(x)**s, holding at least n + 1 entries; ell is a prime or
+        PLAIN, for which the product is the row K_s alone.
 
-        n k(s, n) = s h(n) with h(n) = sum_{1 <= j <= n} sigma(j) k(s, n - j).
-        A row that is too short grows to at least twice its length, so a
-        sweep of ascending t extends it O(log t) times. The part of h(n) due
-        to the entries the row already holds is taken first, by one
-        product; _online_row then appends the rest in order."""
-        row = self._tuples.setdefault(s, [1])
+        n C(n) = sum_{1 <= k <= n} g(k) C(n - k), with
+        g(k) = s sum_{ell**j | k} ell**j sigma(k / ell**j) (the logarithmic
+        derivative, since x P'/P = sum sigma(k) x**k). A series that is too
+        short grows to at least twice its length, so a sweep of ascending n
+        extends it O(log n) times. The part of each new n C(n) due to the
+        entries already held is taken first, by one product; _online_row
+        then appends the rest in order."""
+        row = self._series.setdefault((ell, s), [1])
         start = len(row)
-        if t < start:
+        if n < start:
             return row
-        t = max(t, 2 * start)
-        self._extend_sigma(t)
+        n = max(n, 2 * start)
+        self._extend_sigma(n)
         sig = self._sigma
-        h = _mul_trunc(row, sig, t)[start:]
-        _online_row(row, sig, s, h, start, start, t + 1)
+        g = [s * x for x in sig[: n + 1]]
+        power = ell
+        while 1 < power <= n:  # PLAIN adds no term
+            for k in range(power, n + 1, power):
+                g[k] += s * power * sig[k // power]
+            power *= ell
+        h = _mul_trunc(row, g, n)[start:]
+        _online_row(row, g, h, start, start, n + 1)
         return row
 
     def multipartition_count(self, s: int, t: int) -> int:
@@ -253,20 +271,7 @@ class CountCache:
             raise ValueError("colour count and size must be >= 0")
         if s == 0:
             return 1 if t == 0 else 0
-        return self._tuple_row(s, t)[t]
-
-    def _tail_series(self, ell: int, t: int, n: int) -> list[int]:
-        """The series c_t(0..) of composition_sum, holding at least n + 1
-        entries: c_t(0) = 1 and c_t(m) = sum_{j <= m/ell} k(t, m - ell j) c_t(j)."""
-        series = self._tails.setdefault((ell, t), [1])
-        if n < len(series):
-            return series
-        row = self._tuple_row(t, n)
-        for m in range(len(series), n + 1):
-            # row[m::-ell] is k(t, m), k(t, m - ell), ...; it is shorter
-            # than series, which holds c_t(0..m-1)
-            series.append(sum(map(operator.mul, row[m::-ell], series)))
-        return series
+        return self._euler_row(PLAIN, s, t)[t]
 
     def _slot_series(self, key: tuple[int, int, int], n: int, build) -> list[int]:
         """The slot path's series for key, holding at least n + 1 entries.
@@ -320,11 +325,12 @@ def _grown(table: dict, key, n: int, build) -> list[int]:
 
 
 def _online_row(
-    row: list[int], sig: list[int], s: int, h: list[int], base: int, lo: int, hi: int
+    row: list[int], g: list[int], h: list[int], base: int, lo: int, hi: int
 ) -> None:
-    """Append k(s, lo..hi-1) to row, which holds k(s, 0..lo-1).
+    """Append C(lo..hi-1) to row, which holds C(0..lo-1), where
+    n C(n) = sum_{1 <= k <= n} g(k) C(n - k) and g(0) is unused.
 
-    h[n - base] holds the part of h(n) due to k(s, i) for i < lo. Divide and
+    h[n - base] holds the part of n C(n) due to C(i) for i < lo. Divide and
     conquer (an online convolution, after van der Hoeven, "Relax, but don't
     be too lazy", 2002): finish the left half, add its contribution to the
     right half with one product, then finish the right half. Every division
@@ -332,16 +338,16 @@ def _online_row(
     """
     if hi - lo <= KRONECKER_MIN_LEN:
         for n in range(lo, hi):
-            # sig[n - lo:0:-1] is sigma(n - lo), ..., sigma(1), against k(s, lo..n-1)
-            acc = h[n - base] + sum(map(operator.mul, sig[n - lo : 0 : -1], row[lo:n]))
-            row.append(exact_div(s * acc, n))
+            # g[n - lo:0:-1] is g(n - lo), ..., g(1), against C(lo..n-1)
+            acc = h[n - base] + sum(map(operator.mul, g[n - lo : 0 : -1], row[lo:n]))
+            row.append(exact_div(acc, n))
         return
     mid = (lo + hi) // 2
-    _online_row(row, sig, s, h, base, lo, mid)
-    cross = _mul_trunc(row[lo:mid], sig[: hi - lo], hi - lo - 1)
+    _online_row(row, g, h, base, lo, mid)
+    cross = _mul_trunc(row[lo:mid], g[: hi - lo], hi - lo - 1)
     for n in range(mid, hi):
         h[n - base] += cross[n - lo]
-    _online_row(row, sig, s, h, base, mid, hi)
+    _online_row(row, g, h, base, mid, hi)
 
 
 shared_cache = CountCache()
@@ -381,11 +387,13 @@ def composition_sum(
     itself an ell-composition of v, so with h, t the two colour counts
 
         composition_sum(ell, h, t, w) = sum_{v=0}^{w // ell} k(h, w - ell v) c_t(v),
-        c_t(n) = sum_{0 <= j <= n/ell} k(t, n - ell j) c_t(j),  c_t(0) = 1.
 
-    c_t(n) is the coefficient of x**n in prod_{i>=0} K_t(x**(ell**i)) with
-    K_t(x) = sum_n k(t, n) x**n. It does not depend on w, so the cache keeps
-    it as a grow-only table per (ell, t).
+    where c_t(n) is the coefficient of x**n in C_t(x), the Euler product
+    prod_{i>=0} K_t(x**(ell**i)) with K_t(x) = sum_n k(t, n) x**n = P(x)**t, so
+    n c_t(n) = sum_{1 <= k <= n} g(k) c_t(n - k) with
+    g(k) = t sum_{ell**j | k} ell**j sigma(k / ell**j); the row k(h, .) is
+    the case with only j = 0. Neither series depends on w, so the cache
+    keeps each as a grow-only table (CountCache._euler_row).
     """
     _require_prime(ell)
     if w < 0:
@@ -393,8 +401,8 @@ def composition_sum(
     if head_colours < 0 or tail_colours < 0:
         raise ValueError("colour counts must be >= 0")
     cache = cache or shared_cache
-    head = cache._tuple_row(head_colours, w)
-    tails = cache._tail_series(ell, tail_colours, w // ell)
+    head = cache._euler_row(PLAIN, head_colours, w)
+    tails = cache._euler_row(ell, tail_colours, w // ell)
     # head[w::-ell] is k(h, w), k(h, w - ell), ...: w // ell + 1 terms
     return sum(map(operator.mul, head[w::-ell], tails))
 

@@ -256,7 +256,7 @@ def test_criterion_15_determinism(tmp_path):
         third = tmp_path / "c.csv"
         assert cli.main(_census_args(first)) == 0
         assert cli.main(_census_args(second)) == 0
-        assert cli.main(_census_args(third, "--jobs", "4")) == 0
+        assert cli.main(_census_args(third)) == 0
         a = _without_timestamp(first.read_text())
         b = _without_timestamp(second.read_text())
         c = _without_timestamp(third.read_text())

@@ -25,6 +25,7 @@ from blockcensus.blocks import (
     verdict,
 )
 from blockcensus.counting import (
+    PLAIN,
     CountCache,
     exact_div,
     is_prime,
@@ -819,14 +820,14 @@ def test_sweep_order_matches_a_per_row_reference(w_values, check_two_path):
 
 def test_census_deep_grid_builds_each_table_once(monkeypatch):
     # the grid of the census-deep benchmark: evaluated largest w first,
-    # every slot series is built once, at 700, and every coloured-partition
-    # row grows once, where an ascending sweep builds each twice
+    # every slot series is built once, at 700, and every closed-form series
+    # grows once, where an ascending sweep builds each twice
     builds = []
     powers = []
     grown = {}
     real_slot_series = CountCache._slot_series
     real_power_series = CountCache._power_series
-    real_tuple_row = CountCache._tuple_row
+    real_euler_row = CountCache._euler_row
 
     def counted_slot_series(self, key, n, build):
         def counted_build(top):
@@ -842,16 +843,16 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
 
         return real_power_series(self, c, n, counted_build)
 
-    def counted_tuple_row(self, s, t):
-        before = len(self._tuples.get(s, ()))
-        row = real_tuple_row(self, s, t)
+    def counted_euler_row(self, ell, s, n):
+        before = len(self._series.get((ell, s), ()))
+        row = real_euler_row(self, ell, s, n)
         if len(row) != before:
-            grown.setdefault(s, []).append(len(row))
+            grown.setdefault((ell, s), []).append(len(row))
         return row
 
     monkeypatch.setattr(CountCache, "_slot_series", counted_slot_series)
     monkeypatch.setattr(CountCache, "_power_series", counted_power_series)
-    monkeypatch.setattr(CountCache, "_tuple_row", counted_tuple_row)
+    monkeypatch.setattr(CountCache, "_euler_row", counted_euler_row)
     spec = SweepSpec(
         families=(blocks.GL, blocks.SP),
         ell_values=(3,),
@@ -866,8 +867,9 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     # both slot series hold P(x)**3 to 700, built once and read twice; the
     # deep factors take P(x)**2 (GL) and P(x) (Sp) to 700 // 3
     assert sorted(powers) == [(1, 233), (2, 233), (3, 700)]
-    # head colours 3 for both, tail colours 2 (GL) and 1 (Sp), read to 700 // 3
-    assert grown == {3: [701], 2: [234], 1: [234]}
+    # the row k(3, .) of head colours 3, shared by GL and Sp, read to 700;
+    # the tail series of tail colours 2 (GL) and 1 (Sp), read to 700 // 3
+    assert grown == {(PLAIN, 3): [701], (3, 2): [234], (3, 1): [234]}
 
 
 def _count_block_evaluations(monkeypatch):

@@ -141,47 +141,15 @@ def test_census_out_unwritable_is_a_parameter_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
-JOBS_WARNING = "warning: --jobs and the jobs config key are ignored and will be removed\n"
-
-
-def test_census_jobs_deterministic(capsys):
-    args = (
-        "census", "--family", "GL,Sp,PSLell", "--ell", "3,5", "--a", "1,2",
-        "--w", "0..3", "--strip-timestamp",
-    )
-    code, plain, plain_err = run_cli(capsys, *args)
-    assert code == 0
-    code, with_jobs, jobs_err = run_cli(capsys, *args, "--jobs", "4")
-    assert code == 0
-    # --jobs is accepted, ignored and deprecated on one stderr line
-    assert with_jobs == plain
-    assert plain_err == ""
-    assert jobs_err == JOBS_WARNING
-
-
-def test_census_jobs_config_key_is_deprecated(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("family = GL\nell = 3\nw = 0..2\njobs = 2\n")
-    code, out, err = run_cli(capsys, "census", "--config", str(cfg), "--strip-timestamp")
-    assert code == 0
-    assert err == JOBS_WARNING
-    code, both, err = run_cli(
-        capsys, "census", "--config", str(cfg), "--jobs", "3", "--strip-timestamp"
-    )
-    assert code == 0
-    assert both == out
-    assert err == JOBS_WARNING
-
-
-def test_census_jobs_must_be_positive(tmp_path, capsys):
+def test_census_jobs_flag_and_config_key_are_refused(tmp_path, capsys):
     code, out, err = run_cli(
-        capsys, "census", "--family", "GL", "--ell", "3", "--w", "1", "--jobs", "0"
+        capsys, "census", "--family", "GL", "--ell", "3", "--w", "1", "--jobs", "1"
     )
-    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --jobs 1\n")
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("family = GL\nell = 3\nw = 1\njobs = 0\n")
+    cfg.write_text("family = GL\nell = 3\nw = 1\njobs = 1\n")
     code, out, err = run_cli(capsys, "census", "--config", str(cfg))
-    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
+    assert (code, out, err) == (1, "", "error: unknown config keys: jobs\n")
 
 
 def test_census_profile_mismatch_at_a_large_prime(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blockcensus import counting
 from blockcensus.counting import (
     KRONECKER_MIN_LEN,
+    PLAIN,
     CountCache,
     _kronecker,
     _mul_trunc,
@@ -469,7 +470,7 @@ def _recurrence_row(s, t):
 
 def test_tuple_row_is_the_recurrence():
     for s in (1, 2, 3, 7):
-        assert CountCache()._tuple_row(s, 600)[:601] == _recurrence_row(s, 600)
+        assert CountCache()._euler_row(PLAIN, s, 600)[:601] == _recurrence_row(s, 600)
 
 
 def test_tuple_row_is_prefix_stable():
@@ -478,9 +479,33 @@ def test_tuple_row_is_prefix_stable():
     grown = CountCache()
     for s in (2, 3):
         for t in (0, 233, 700, 1500):
-            fresh = CountCache()._tuple_row(s, t)
-            assert grown._tuple_row(s, t)[: t + 1] == fresh[: t + 1]
-    assert grown._tuple_row(3, 1500)[:601] == _recurrence_row(3, 600)
+            fresh = CountCache()._euler_row(PLAIN, s, t)
+            assert grown._euler_row(PLAIN, s, t)[: t + 1] == fresh[: t + 1]
+    assert grown._euler_row(PLAIN, 3, 1500)[:601] == _recurrence_row(3, 600)
+
+
+def _stride_tail(ell, t, n):
+    # the tail series by its stride recurrence, C_t(x) = K_t(x) C_t(x**ell):
+    # c_t(0) = 1, c_t(m) = sum_{j <= m/ell} k(t, m - ell j) c_t(j)
+    row = _recurrence_row(t, n)
+    series = [1]
+    for m in range(1, n + 1):
+        series.append(sum(row[m - ell * j] * series[j] for j in range(m // ell + 1)))
+    return series
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+@pytest.mark.parametrize("t", [0, 1, 2, 6])
+def test_tail_series_is_the_stride_recurrence(ell, t):
+    # lengths either side of KRONECKER_MIN_LEN, where the online convolution
+    # first splits, past one doubling, where its cross product packs, and
+    # at a power of ell, the last term of the twisted divisor sum
+    expected = _stride_tail(ell, t, 343)
+    for n in (127, 128, 129, 257, ell**3):
+        assert CountCache()._euler_row(ell, t, n)[: n + 1] == expected[: n + 1]
+        grown = CountCache()
+        grown._euler_row(ell, t, n // 3)
+        assert grown._euler_row(ell, t, n)[: n + 1] == expected[: n + 1]
 
 
 def test_sigma_sieve_is_prefix_stable():

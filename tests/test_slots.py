@@ -455,7 +455,7 @@ def test_slot_series_is_the_class_product_where_the_fold_packs(monkeypatch):
     def refuse(*args):
         raise AssertionError("the slot path read the sigma recurrence")
 
-    for name in ("_extend_sigma", "_tuple_row", "multipartition_count"):
+    for name in ("_extend_sigma", "_euler_row", "multipartition_count"):
         monkeypatch.setattr(CountCache, name, refuse)
     for inv, budget, expected, count in cases:
         assert slots._slot_product(inv, 0, budget, CountCache())[: budget + 1] == expected
@@ -497,7 +497,7 @@ def test_slot_path_reads_no_sigma_row(monkeypatch):
     def refuse(*args):
         raise AssertionError("the slot path read the sigma recurrence")
 
-    for name in ("_extend_sigma", "_tuple_row", "multipartition_count"):
+    for name in ("_extend_sigma", "_euler_row", "multipartition_count"):
         monkeypatch.setattr(CountCache, name, refuse)
     for family, count in expected.items():
         weight_family = blocks.WEIGHT_FAMILIES[family]
@@ -549,17 +549,20 @@ def test_slot_series_growth():
             assert slots.block_count_proof_path(*q, grown) == expected[q], (seed, q)
 
 
-@settings(max_examples=40, deadline=timedelta(seconds=2))
+@settings(max_examples=80, deadline=timedelta(seconds=2))
 @given(
-    family=st.sampled_from(["GL", "Sp", "GOevenPlus"]),
-    d=st.integers(1, 2),
-    a=st.integers(1, 2),
-    w=st.integers(0, 300),
+    family=st.sampled_from(sorted(blocks.WEIGHT_FAMILIES)),
+    profile=st.sampled_from(
+        [(ell, d) for ell in (3, 5, 7, 11, 13) for d in range(1, ell) if (ell - 1) % d == 0]
+    ),
+    a=st.integers(1, 3),
+    w=st.integers(0, 1000),
 )
-def test_two_path_equality_large_weight_property(family, d, a, w):
+def test_two_path_equality_large_weight_property(family, profile, a, w):
+    ell, d = profile
     cache = CountCache()
-    query = blocks.BlockQuery(family, blocks.EllProfile(3, d, a), w=w)
+    query = blocks.BlockQuery(family, blocks.EllProfile(ell, d, a), w=w)
     closed = blocks.block_invariants(query, cache, check_two_path=False).k_B
-    proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], 3, d, a, w, cache)
+    proof = slots.block_count_proof_path(blocks.WEIGHT_FAMILIES[family], ell, d, a, w, cache)
     assert closed == proof
 
