@@ -27,8 +27,6 @@ from .counting import gmpn_irr_count, multipartition_count, p_ell, p_ell_row
 
 __all__ = ["main"]
 
-VERIFY_SECTIONS = ("F4-l2", "F4-l3", "E6-l3", "E8-5blocks", "defining-char")
-
 
 class CliError(Exception):
     """Usage or parameter problem; maps to exit code 1."""
@@ -123,7 +121,7 @@ def _build_parser() -> _Parser:
     )
 
     verify = sub.add_parser("verify-exceptional", help="check the static tables")
-    verify.add_argument("--table", choices=VERIFY_SECTIONS, default=None)
+    verify.add_argument("--table", choices=tuple(VERIFY_SECTIONS), default=None)
     verify.add_argument("--data-dir", metavar="DIR")
 
     orc = sub.add_parser("oracle", help="brute-force cross-checks")
@@ -171,18 +169,6 @@ def _census_spec(args, config) -> blocks.SweepSpec:
     )
 
 
-def _single_value(flag_value, config, key, default, convert):
-    if flag_value is not None:
-        return flag_value
-    entries = config.get(key, [])
-    if entries:
-        try:
-            return convert(entries[-1])
-        except ValueError:
-            raise CliError(f"bad config value for {key}: {entries[-1]!r}") from None
-    return default
-
-
 def _cmd_census(args) -> int:
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - {"family", "ell", "d", "a", "w", "n", "g", "q", "format"}
@@ -193,7 +179,7 @@ def _cmd_census(args) -> int:
         spec.validate()
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    fmt = _single_value(args.format, config, "format", "csv", str)
+    fmt = args.format or config.get("format", ["csv"])[-1]
     if fmt not in ("csv", "json", "md"):
         raise CliError(f"unknown format {fmt!r}")
     timestamp = None
@@ -352,19 +338,24 @@ def _defining_char_checks(data_dir) -> list[tuple[str, bool, str]]:
     return results
 
 
+# each verify-exceptional section, in report order, with its checks
+VERIFY_SECTIONS = {
+    **{
+        name: functools.partial(_class_table_checks, name)
+        for name in tables.list_class_tables()
+    },
+    "E8-5blocks": _e8_checks,
+    "defining-char": _defining_char_checks,
+}
+
+
 def _cmd_verify(args) -> int:
     if args.data_dir is not None and not Path(args.data_dir).is_dir():
         raise CliError(f"--data-dir {args.data_dir} is not a directory")
     sections = (args.table,) if args.table else VERIFY_SECTIONS
     failures = []
     for section in sections:
-        if section in ("F4-l2", "F4-l3", "E6-l3"):
-            checks = _class_table_checks(section, args.data_dir)
-        elif section == "E8-5blocks":
-            checks = _e8_checks(args.data_dir)
-        else:
-            checks = _defining_char_checks(args.data_dir)
-        for name, ok, detail in checks:
+        for name, ok, detail in VERIFY_SECTIONS[section](args.data_dir):
             print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
             if not ok:
                 failures.append(name)
@@ -443,7 +434,7 @@ def _cmd_oracle(args) -> int:
             all_ok = False
             continue
         elapsed = time.perf_counter() - start
-        if p in (1, 2) and (p == 1 or m % 2 == 0):
+        if p in (1, 2):
             formula = gmpn_irr_count(m, p, n)
             ok = count == formula
             all_ok = all_ok and ok

@@ -166,20 +166,21 @@ def _require_odd_prime(ell: int) -> None:
 class CountCache:
     """Memo tables shared by the counting functions.
 
-    Tables: the partition numbers, the divisor sums sigma(n), one p_ell
-    table per prime, and one Euler-product series per (ell, s), which is
-    the coloured-partition row k(s, 0..) at ell = PLAIN and the tail
-    series c_s(0..) of composition_sum at a prime ell. The slot path owns
-    two more: one series per (ell, a, denom), the slot product that
-    slots.block_count_proof_path reads its counts from, and one partition
-    power P(x)**c per exponent c, which only slots._partition_power reads,
-    so slot keys that need the same power share it. Nothing in the
-    closed-form path reads either, and the slot path reads neither the
-    sigma table nor the coloured-partition rows. Every table only grows,
-    and a fresh cache recomputes identical values, so a longer table never
-    changes an entry already read. The slot series and the partition
-    powers grow by replacement with a longer list, the others by
-    appending.
+    Tables: the partition numbers, the divisor sums sigma(n), the
+    ell-power partition counts p_ell(ell, 0..) in _p_ell_tables, one table
+    per prime, and one Euler-product series per (ell, s), which is the
+    coloured-partition row k(s, 0..) at ell = PLAIN and the tail series
+    c_s(0..) of composition_sum at a prime ell. The slot path owns two
+    more: one series per (ell, a, denom), the slot product that
+    slots.block_count_proof_path reads its counts from, and in _powers one
+    partition power P(x)**c per exponent c, which only
+    slots._partition_power reads, so slot keys that need the same power
+    share it. Nothing in the closed-form path reads either, and the slot
+    path reads neither the sigma table nor the coloured-partition rows.
+    Every table only grows, and a fresh cache recomputes identical values,
+    so a longer table never changes an entry already read. The slot series
+    and the partition powers grow by replacement with a longer list, the
+    others by appending.
 
     A cache is single-threaded: a table is extended in place with no lock.
     A program that counts from several threads gives each thread its own
@@ -190,7 +191,7 @@ class CountCache:
         self._partitions: list[int] = [1]
         self._sigma: list[int] = [0]  # divisor sums, index 0 unused
         self._series: dict[tuple[int, int], list[int]] = {}
-        self._ppower: dict[int, list[int]] = {}
+        self._p_ell_tables: dict[int, list[int]] = {}
         self._slots: dict[tuple[int, int, int], list[int]] = {}
         self._powers: dict[int, list[int]] = {}
 
@@ -306,7 +307,7 @@ class CountCache:
         _require_prime(ell)
         if w < 0:
             raise ValueError("weight must be >= 0")
-        tab = self._ppower.setdefault(ell, [1])
+        tab = self._p_ell_tables.setdefault(ell, [1])
         for n in range(len(tab), w + 1):
             val = tab[n - 1]
             if n % ell == 0:

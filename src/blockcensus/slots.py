@@ -133,12 +133,15 @@ class SlotInventory(NamedTuple):
             return LINEAR, self.d * level_scale
         return UNITARY, self.dprime * level_scale
 
+    def _level_count(self, i: int) -> int:
+        # slots at level i <= a; every deep level holds the level-a count
+        return exact_div(self.ell**i - self.ell ** (i - 1), self.denom)
+
     def base_slots(self) -> tuple[SlotClass, ...]:
         """Slot classes at levels 1..a, all of unit weight 1."""
         out = []
-        ell = self.ell
         for i in range(1, self.a + 1):
-            count = exact_div(ell**i - ell ** (i - 1), self.denom)
+            count = self._level_count(i)
             kind, degree = self._factor_descriptor(1)
             out.append(SlotClass(i, count, 1, kind, degree))
         return tuple(out)
@@ -148,7 +151,7 @@ class SlotInventory(NamedTuple):
         into the budget; deeper levels cannot receive any multiplicity."""
         out = []
         ell = self.ell
-        count = exact_div(ell**self.a - ell ** (self.a - 1), self.denom)
+        count = self._level_count(self.a)
         j = 1
         while ell**j <= budget:
             kind, degree = self._factor_descriptor(ell**j)
