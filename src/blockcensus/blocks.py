@@ -586,24 +586,6 @@ class SweepSpec(NamedTuple):
         if needs_n and not self.n_values:
             raise ValueError(f"families {needs_n} need n values")
 
-    def row_params(self) -> list[dict]:
-        """Flatten the ranges into per-row parameter dicts, in the fixed
-        deterministic order (families outermost, then ell, d, a, then the
-        weight or rank axis)."""
-        rows = []
-        qs = self._q_axis()
-        for family in self.families:
-            if family in WEIGHT_FAMILIES:
-                for ell, d, a in self._weight_runs():
-                    rows += [
-                        _weight_param(family, ell, d, a, w, q)
-                        for w in self.w_values
-                        for q in qs
-                    ]
-            else:
-                rows += self._principal_params(family)
-        return rows
-
     def _q_axis(self) -> tuple[int | None, ...]:
         return self.q_values or (None,)
 
@@ -617,7 +599,8 @@ class SweepSpec(NamedTuple):
                     yield ell, d, a
 
     def _principal_params(self, family: str) -> list[dict]:
-        """The row_params dicts of a special-linear-range or PSLell family."""
+        """The parameter dicts of the rows of a special-linear-range or
+        PSLell family, in row order."""
         rows = []
         qs = self._q_axis()
         if family in (SLRANGE, SURANGE):
@@ -636,11 +619,6 @@ class SweepSpec(NamedTuple):
                     for q in qs:
                         rows.append(dict(family=family, ell=ell, d=1, a=a, n=ell, q=q))
         return rows
-
-
-def _weight_param(family: str, ell: int, d: int, a: int, w: int, q: int | None) -> dict:
-    """The row_params dict of a weight-family row."""
-    return {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
 
 
 class Row(NamedTuple):
@@ -696,25 +674,20 @@ class _CensusReportFields(NamedTuple):
     rows: tuple[Row, ...]
     metadata: dict
     errors: tuple[str, ...] = ()
-    cells: tuple[tuple[str, ...], ...] | None = None
+    cells: tuple[tuple[str, ...], ...] = ()
 
 
 class CensusReport(_CensusReportFields):
-    """A census, immutable: rows holds one Row per row, in
-    SweepSpec.row_params order, and cells the REPORT_COLUMNS text of each
-    row, built together with the rows; errors holds the message of each
-    ERROR or INTERNAL_MISMATCH row, in row order. A report built without
-    cells derives them from its rows, one _row_cells call per row. The
-    writers read cells only."""
+    """A census, immutable: rows holds one Row per row, in row order, and
+    cells the REPORT_COLUMNS text of each row, built together with the rows;
+    errors holds the message of each ERROR or INTERNAL_MISMATCH row, in row
+    order. The writers read cells only, so a report whose rows and cell
+    rows differ in number is refused."""
 
     __slots__ = ()
 
-    def __new__(cls, rows, metadata, errors=(), cells=None):
-        rows = tuple(rows)
-        if cells is None:
-            cells = tuple(map(_row_cells, rows))
-        else:
-            cells = tuple(cells)
+    def __new__(cls, rows, metadata, errors=(), cells=()):
+        rows, cells = tuple(rows), tuple(cells)
         if len(cells) != len(rows):
             raise ValueError(f"a report of {len(rows)} rows has {len(cells)} cell rows")
         return super().__new__(cls, rows, metadata, tuple(errors), cells)
@@ -802,7 +775,7 @@ def _weight_run(
     check_two_path: bool,
 ) -> tuple[list[Row], list[tuple[str, ...]], list[str]]:
     """The rows of one run, which share (family, ell, d, a), their cells and
-    their error messages, in row_params order: over the spec's w values,
+    their error messages, in row order: over the spec's w values,
     each over its q axis. axis is the sweep's _weight_axis.
 
     Each row fails at the first check that refuses it, in the order
@@ -879,7 +852,8 @@ def _weight_run(
             failed = (None, None, None, None, result, None)
             rows.append(Row._make(row_head + failed))
             cells.append(row_head_cells + _row_cells(failed))
-            errors.append(f"{family} row {_weight_param(family, ell, d, a, w, q)}: {text}")
+            param = {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
+            errors.append(f"{family} row {param}: {text}")
     return rows, cells, errors
 
 
@@ -902,16 +876,12 @@ def _principal_row(
                 m=min(valuation(profile.ell, n), profile.a) if n >= 1 else 0,
             )
         g, m = query.g, query.m
-        inv = block_invariants(query, cache, check_two_path)
+        values = block_invariants(query, cache, check_two_path)
     except Exception as exc:
         result, text = _row_failure(exc)
         values = (None, None, None, None, result, None)
         message = f"{family} row {param}: {text}"
     else:
-        values = (
-            inv.k_B, inv.exactness, inv.defect_exponent, inv.abelian_defect,
-            inv.verdict, inv.two_path_checked,
-        )
         message = None
     return Row._make((family, n, ell, d, a, None, g, m) + values), message
 
@@ -923,7 +893,10 @@ def sweep(
     timestamp: str | None = None,
 ) -> CensusReport:
     """Evaluate every row of the sweep and assemble the report: its rows,
-    their cells and errors in SweepSpec.row_params order.
+    their cells and errors in row order: families outermost, then ell, d
+    (the divisors of ell - 1 where the spec gives none), a, then w and q
+    for a weight family; SLrange and SUrange rows run over ell, a, n, g and
+    q, PSLell rows over ell, a and q.
 
     The rows of a weight family come in runs that share (family, ell, d, a)
     and differ in w and q (_weight_run). The w values are checked once per

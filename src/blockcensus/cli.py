@@ -466,6 +466,12 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
+# The largest --wmax and --nmax that bounds accepts. The convolution check is
+# quadratic in --nmax and the ell-power check holds three p_ell rows of
+# length --wmax, so a run at both caps finishes in a few seconds
+_WMAX_CAP = 500_000
+_NMAX_CAP = 1_000
+
 
 def _check_p_ell_bound(wmax: int) -> tuple[bool, str]:
     # the cap ell**(u(u+1)/2) holds on ell**u <= w < ell**(u+1), with u = 0
@@ -555,6 +561,10 @@ def _check_boundary_chain() -> tuple[bool, str]:
 def _cmd_bounds(args) -> int:
     if args.wmax < 1 or args.nmax < 0:
         raise CliError("need --wmax >= 1 and --nmax >= 0")
+    if args.wmax > _WMAX_CAP or args.nmax > _NMAX_CAP:
+        raise CliError(
+            f"bounds cap exceeded: need --wmax <= {_WMAX_CAP} and --nmax <= {_NMAX_CAP}"
+        )
     battery = [
         ("ell-power partition bound", lambda: _check_p_ell_bound(args.wmax)),
         ("value at twice the prime", _check_two_ell),

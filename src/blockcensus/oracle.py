@@ -124,21 +124,15 @@ _ALT_MODULI = {
     8: (1, 0, 1, 1),
 }
 
-_SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
+# each supported field size q = p**k as (p, k)
+_FIELD_SIZES = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            k = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            if rest != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, k
-    raise ValueError(f"q = {q} is out of the supported range {_SUPPORTED_Q}")
+def _field_size(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k, for a supported field size q."""
+    if q not in _FIELD_SIZES:
+        raise ValueError(f"q = {q} is out of the supported range {tuple(_FIELD_SIZES)}")
+    return _FIELD_SIZES[q]
 
 
 class SmallField:
@@ -148,9 +142,7 @@ class SmallField:
     producing a non-field."""
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None) -> None:
-        if q not in _SUPPORTED_Q:
-            raise ValueError(f"q = {q} is out of the supported range {_SUPPORTED_Q}")
-        p, k = _prime_power(q)
+        p, k = _field_size(q)
         self.q = q
         self.p = p
         self.deg = k
@@ -644,8 +636,7 @@ def check_gl_census(n: int, q: int, ell: int) -> int:
         raise ValueError(
             f"census cap exceeded: |GL_{n}({q})| = {order} > {GROUP_ORDER_CAP}"
         )
-    if q not in _SUPPORTED_Q:
-        raise ValueError(f"q = {q} is out of the supported range {_SUPPORTED_Q}")
+    _field_size(q)
     return order
 
 

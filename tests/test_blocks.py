@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 from collections import Counter
@@ -513,9 +514,10 @@ def test_sweep_checks_each_passing_group_once(monkeypatch):
         q_values=(2, 4, 11),
     )
     report = sweep(spec, CountCache())
+    params = list(_reference_params(spec))
     keys = {
         (param["family"], EllProfile(param["ell"], param["d"], param["a"], param["q"]))
-        for param in spec.row_params()
+        for param in params
     }
     assert Counter(calls) == Counter(keys)
     passing = []
@@ -527,7 +529,7 @@ def test_sweep_checks_each_passing_group_once(monkeypatch):
         passing.append(key)
     assert 0 < len(passing) < len(keys)
     assert sum(row.verdict == blocks.ERROR for row in report.rows) == (
-        len(spec.row_params()) - 3 * len(passing)
+        len(params) - 3 * len(passing)
     )
     calls.clear()
     refused = sweep(SweepSpec(**{**spec._asdict(), "w_values": (-1, -2)}), CountCache())
@@ -647,6 +649,32 @@ def test_sweep_psl_rows_check_the_witnessed_profile():
     assert all("derived (d=2, a=1)" in message for message in report.errors)
 
 
+def _reference_params(spec):
+    # the parameter dict of each row in the documented row order, kept
+    # apart from the sweep's own walk: families outermost, then ell, d (the
+    # divisors of ell - 1 when d_values is None), a, then w x q for a weight
+    # family, n x g x q for SLrange and SUrange, and q for PSLell
+    qs = spec.q_values or (None,)
+    for family in spec.families:
+        for ell in spec.ell_values:
+            if family in blocks.WEIGHT_FAMILIES:
+                ds = spec.d_values
+                if ds is None:
+                    ds = [d for d in range(1, ell) if (ell - 1) % d == 0]
+                for d, a, w, q in itertools.product(ds, spec.a_values, spec.w_values, qs):
+                    yield {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
+            elif family == blocks.PSLELL:
+                for a, q in itertools.product(spec.a_values, qs):
+                    yield {"family": family, "ell": ell, "d": 1, "a": a, "n": ell, "q": q}
+            else:
+                for a in spec.a_values:
+                    gs = spec.g_values if spec.g_values is not None else (a,)
+                    for n, g, q in itertools.product(spec.n_values, gs, qs):
+                        yield {
+                            "family": family, "ell": ell, "d": 1, "a": a, "n": n, "g": g, "q": q
+                        }
+
+
 def _reference_row(param, cache, check_two_path=True):
     # one BlockQuery and one block_invariants call per row, the route the
     # sweep took before its rows shared the per-group step
@@ -722,7 +750,7 @@ _SYNTHETIC = {blocks.HOLDS_STRICT, blocks.HOLDS_EQUALITY_ABELIAN}
 
 
 def _reference_sweep(spec, cache, check_two_path=True):
-    results = [_reference_row(param, cache, check_two_path) for param in spec.row_params()]
+    results = [_reference_row(param, cache, check_two_path) for param in _reference_params(spec)]
     return [row for row, _ in results], tuple(message for _, message in results if message)
 
 
@@ -1035,6 +1063,7 @@ def test_renderers_match_the_row_string_reference():
         rows=rows,
         metadata={"tool": "blockcensus", "version": "0", "spec_hash": "ab"},
         errors=["GL row {}: w must be >= 0"],
+        cells=tuple(map(blocks._row_cells, rows)),
     )
     expected = _reference_renderings(report)
     assert _cell_dicts(report) == expected["strings"]
@@ -1116,14 +1145,17 @@ def test_hand_built_report_renders_ints_as_ints():
         family="GL", ell=3, d=1, a=1, w=0, k_B=1, abelian=1,
         verdict=blocks.HOLDS_EQUALITY_ABELIAN, two_path_checked=0,
     )
-    report = blocks.CensusReport(rows=[row], metadata={"tool": "blockcensus"})
+    report = blocks.CensusReport(
+        rows=[row], metadata={"tool": "blockcensus"}, cells=[blocks._row_cells(row)]
+    )
     cells = ("GL", "", "3", "1", "1", "0", "", "", "1", "", "", "1", blocks.HOLDS_EQUALITY_ABELIAN, "0")
     assert report.cells == (cells,)
     assert report.to_csv().splitlines()[-1] == ",".join(cells)
     assert report.to_markdown().splitlines()[-1] == "| " + " | ".join(cells) + " |"
     assert json.loads(report.to_json())["rows"] == [dict(zip(blocks.REPORT_COLUMNS, cells))]
+    booled_row = row._replace(abelian=True, two_path_checked=False)
     booled = blocks.CensusReport(
-        rows=[row._replace(abelian=True, two_path_checked=False)], metadata={}
+        rows=[booled_row], metadata={}, cells=[blocks._row_cells(booled_row)]
     )
     assert booled.cells[0][-3:] == ("true", blocks.HOLDS_EQUALITY_ABELIAN, "false")
 
@@ -1165,15 +1197,16 @@ def test_sweep_renderings_match_a_row_by_row_reference(
 ):
     # the sweep formats each block's cells once and joins them to each
     # run's head cells; the bytes must be those of formatting every row
-    # with _row_cells, as a report built without cells does
+    # with _row_cells
     if off_by_one:
         real = slots.block_count_proof_path
         monkeypatch.setattr(slots, "block_count_proof_path", lambda *args: real(*args) + 1)
     report = sweep(spec, CountCache(), check_two_path, timestamp="2026-01-01T00:00:00+00:00")
+    formatted = tuple(map(blocks._row_cells, report.rows))
     reference = blocks.CensusReport(
-        rows=report.rows, metadata=report.metadata, errors=report.errors
+        rows=report.rows, metadata=report.metadata, errors=report.errors, cells=formatted
     )
-    assert report.cells == tuple(map(blocks._row_cells, report.rows)) == reference.cells
+    assert report.cells == formatted
     expected = _reference_renderings(report)
     for fmt in ("csv", "json", "md"):
         assert report.render(fmt) == reference.render(fmt) == expected[fmt]
@@ -1183,3 +1216,33 @@ def test_sweep_renderings_match_a_row_by_row_reference(
         if row.k_B is not None:
             checked = check_two_path and row.family in blocks.WEIGHT_FAMILIES
             assert cells[-1] == ("true" if checked else "false")
+
+
+def _small_tuples(elements, min_size=0):
+    return st.lists(elements, min_size=min_size, max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.builds(
+        SweepSpec,
+        families=_small_tuples(st.sampled_from(blocks.FAMILIES), min_size=1),
+        ell_values=_small_tuples(st.sampled_from([2, 3, 5, 7, 9]), min_size=1),
+        d_values=st.none() | _small_tuples(st.integers(1, 4), min_size=1),
+        a_values=_small_tuples(st.integers(0, 2), min_size=1),
+        w_values=_small_tuples(st.integers(-1, 12)),
+        n_values=_small_tuples(st.integers(-2, 9)),
+        g_values=st.none() | _small_tuples(st.integers(0, 2), min_size=1),
+        q_values=_small_tuples(st.sampled_from([2, 3, 4, 7, 11])),
+    )
+)
+def test_random_sweeps_match_the_row_by_row_reference(spec):
+    # an empty q_values is the q = None axis
+    cache = CountCache()
+    report = sweep(spec, cache, timestamp="2026-01-01T00:00:00+00:00")
+    rows, errors = _reference_sweep(spec, cache)
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.errors == errors
+    expected = _reference_renderings(report)
+    for fmt in ("csv", "json", "md"):
+        assert report.render(fmt) == expected[fmt]

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import io
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -256,8 +258,12 @@ def test_census_violation_row_exit_code(monkeypatch, capsys):
     def doctored(spec, **kwargs):
         report = real_sweep(spec, **kwargs)
         bad = report.rows[0]._replace(verdict=blocks.VIOLATION)
+        rows = report.rows + (bad,)
         return blocks.CensusReport(
-            rows=report.rows + (bad,), metadata=report.metadata, errors=report.errors
+            rows=rows,
+            metadata=report.metadata,
+            errors=report.errors,
+            cells=tuple(map(blocks._row_cells, rows)),
         )
 
     monkeypatch.setattr(cli.blocks, "sweep", doctored)
@@ -728,6 +734,19 @@ def test_bounds_refuses_empty_ranges(capsys, ranges):
     assert "need --wmax >= 1 and --nmax >= 0" in err
 
 
+@pytest.mark.parametrize("wmax, nmax", [(10**9, 3), (10, 10**9), (11, 3), (10, 4)])
+def test_bounds_refuses_inputs_past_its_caps(monkeypatch, capsys, wmax, nmax):
+    # refused before any check runs; at the caps themselves the run passes
+    monkeypatch.setattr(cli, "_WMAX_CAP", 10)
+    monkeypatch.setattr(cli, "_NMAX_CAP", 3)
+    code, out, err = run_cli(capsys, "bounds", "--wmax", str(wmax), "--nmax", str(nmax))
+    assert code == 1
+    assert out == ""
+    assert "error: bounds cap exceeded: need --wmax <= 10 and --nmax <= 3" in err
+    code, out, _ = run_cli(capsys, "bounds", "--wmax", "10", "--nmax", "3")
+    assert code == 0 and "w <= 10" in out and "sizes up to 3" in out
+
+
 def _package_env():
     # a subprocess environment that imports the same package this test run
     # imported
@@ -923,14 +942,18 @@ def test_every_public_name_is_read_by_the_package():
     assert unread == []
 
 
+def _readme_code_blocks():
+    # the text of each fenced block of the README, its language tag included
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text().split("```")[1::2]
+
+
 def test_readme_commands_run_and_pass(capsys):
     # the README's commands are the documented way to run the standard
     # checks, so every `blockcensus ...` line of its code blocks, with
     # backslash continuations joined, must still parse, run and pass
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     commands = [
         shlex.split(line)[1:]
-        for block in text.split("```")[1::2]
+        for block in _readme_code_blocks()
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("blockcensus ")
     ]
@@ -939,3 +962,26 @@ def test_readme_commands_run_and_pass(capsys):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_python_example_prints_what_it_says(capsys):
+    # the README's Python API block runs statement by statement, and each
+    # statement with a trailing `# ...` comment prints exactly that line
+    (source,) = [
+        block.removeprefix("python\n") for block in _readme_code_blocks()
+        if block.startswith("python\n")
+    ]
+    comments = {
+        token.start[0]: token.string.lstrip("#").strip()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+        out = capsys.readouterr().out
+        if statement.end_lineno in comments:
+            assert out == comments[statement.end_lineno] + "\n", ast.unparse(statement)
+            checked += 1
+    assert checked == 2

@@ -92,7 +92,7 @@ def test_multipartition_enumerate_cap():
 
 
 def test_small_field_axioms_all_sizes():
-    for q in oracle._SUPPORTED_Q:
+    for q in oracle._FIELD_SIZES:
         field = oracle.SmallField(q)
         assert field.q == q
         g = field.generator()
@@ -133,7 +133,7 @@ def test_matrix_helpers_roundtrip():
 
 
 # every supported field, plus GF(8) under its alternative modulus
-FIELDS = [(f"q{q}", oracle.SmallField(q)) for q in oracle._SUPPORTED_Q] + [
+FIELDS = [(f"q{q}", oracle.SmallField(q)) for q in oracle._FIELD_SIZES] + [
     (f"q{q}alt", oracle.SmallField(q, modulus)) for q, modulus in oracle._ALT_MODULI.items()
 ]
 KERNEL_CASES = pytest.mark.parametrize(

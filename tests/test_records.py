@@ -75,7 +75,7 @@ RECORDS = {
     ),
     CensusReport: (
         ("rows", "metadata", "errors", "cells"),
-        {"errors": (), "cells": None},
+        {"errors": (), "cells": ()},
         {
             "rows": (_REPORT_ROW,),
             "metadata": {"tool": "blockcensus"},
@@ -232,12 +232,17 @@ def test_record_repr_literals():
 
 
 def test_census_report_normalises_its_sequences():
-    report = CensusReport([_REPORT_ROW], {"tool": "blockcensus"}, ["GL row: bad"])
+    report = CensusReport(
+        [_REPORT_ROW], {"tool": "blockcensus"}, ["GL row: bad"], [blocks._row_cells(_REPORT_ROW)]
+    )
     assert report.rows == (_REPORT_ROW,) and type(report.rows) is tuple
     assert report.errors == ("GL row: bad",) and type(report.errors) is tuple
     assert report.cells == (blocks._row_cells(_REPORT_ROW),) and type(report.cells) is tuple
     given = CensusReport(rows=[_REPORT_ROW], metadata={}, cells=[report.cells[0]])
     assert type(given.cells) is tuple and given.cells == report.cells
+    # the writers read only cells, so rows without them are refused
+    with pytest.raises(ValueError, match="a report of 1 rows has 0 cell rows"):
+        CensusReport(rows=[_REPORT_ROW], metadata={})
 
 
 # bad values for each of the eight records that check theirs
