@@ -649,12 +649,18 @@ class Row(NamedTuple):
 
 REPORT_COLUMNS = Row._fields
 
+# A run's head is the report columns before w, which the rows of a weight
+# run share; a row's tail is the rest
+_HEAD = REPORT_COLUMNS.index("w")
+_TAIL_VERDICT = REPORT_COLUMNS.index("verdict") - _HEAD
+
 # One row of CensusReport.to_json, at the depth and in the layout of an
-# indent=2 json.dumps, with a %s for each escaped cell
+# indent=2 json.dumps, with a %s for each escaped cell, split into the head
+# and the tail
 _json_string = json.encoder.encode_basestring_ascii
-_JSON_ROW = "    {\n" + ",\n".join(
-    f"      {_json_string(column)}: %s" for column in REPORT_COLUMNS
-) + "\n    }"
+_JSON_FIELDS = [f"      {_json_string(column)}: %s" for column in REPORT_COLUMNS]
+_JSON_HEAD = "    {\n" + "".join(field + ",\n" for field in _JSON_FIELDS[:_HEAD])
+_JSON_TAIL = ",\n".join(_JSON_FIELDS[_HEAD:]) + "\n    }"
 
 
 def _row_cells(values) -> tuple[str, ...]:
@@ -671,56 +677,133 @@ def _row_cells(values) -> tuple[str, ...]:
 
 
 class _CensusReportFields(NamedTuple):
-    rows: tuple[Row, ...]
+    runs: tuple[tuple, ...]
     metadata: dict
     errors: tuple[str, ...] = ()
-    cells: tuple[tuple[str, ...], ...] = ()
 
 
 class CensusReport(_CensusReportFields):
-    """A census, immutable: rows holds one Row per row, in row order, and
-    cells the REPORT_COLUMNS text of each row, built together with the rows;
-    errors holds the message of each ERROR or INTERNAL_MISMATCH row, in row
-    order. The writers read cells only, so a report whose rows and cell
-    rows differ in number is refused."""
+    """A census, immutable. runs holds its rows in row order, run by run.
+    A run is (head, head_cells, entries): the values and the text of the
+    columns before w, which its rows share, and one entry per row. An entry
+    is (tail, tail_cells), the values and the text of the row's other
+    columns. The rows of a sweep's weight run refer to the entries of the
+    sweep's block table, so rows of one block share one entry; a failed
+    row has an entry of its own, and a principal-family row is a run of
+    one row. errors holds the message of each ERROR or INTERNAL_MISMATCH
+    row, in row order.
+
+    rows and cells are built on each read. The writers and verdicts read
+    the runs only, so a census written by the CLI builds no Row."""
 
     __slots__ = ()
 
-    def __new__(cls, rows, metadata, errors=(), cells=()):
+    def __new__(cls, runs, metadata, errors=()):
+        runs = tuple(runs)
+        for head, head_cells, _ in runs:
+            if not len(head) == len(head_cells) == _HEAD:
+                raise ValueError(
+                    f"a run head needs {_HEAD} values and {_HEAD} cells, "
+                    f"got {len(head)} and {len(head_cells)}"
+                )
+        return super().__new__(cls, runs, metadata, tuple(errors))
+
+    @classmethod
+    def from_rows(cls, rows, metadata, errors=(), cells=()) -> CensusReport:
+        """A report of rows given one by one, such as Row records, with the
+        REPORT_COLUMNS text of each row: every row is a run of its own. Rows
+        and cell rows that differ in number are refused."""
         rows, cells = tuple(rows), tuple(cells)
         if len(cells) != len(rows):
             raise ValueError(f"a report of {len(rows)} rows has {len(cells)} cell rows")
-        return super().__new__(cls, rows, metadata, tuple(errors), cells)
+        runs = [
+            (
+                tuple(row[:_HEAD]),
+                tuple(text[:_HEAD]),
+                ((tuple(row[_HEAD:]), tuple(text[_HEAD:])),),
+            )
+            for row, text in zip(rows, cells)
+        ]
+        return cls(runs, metadata, errors)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """One Row per row, in row order."""
+        return tuple([
+            Row._make(head + tail)
+            for head, _, entries in self.runs
+            for tail, _ in entries
+        ])
+
+    @property
+    def cells(self) -> tuple[tuple[str, ...], ...]:
+        """The REPORT_COLUMNS text of each row, in row order."""
+        return tuple([
+            head_cells + tail_cells
+            for _, head_cells, entries in self.runs
+            for _, tail_cells in entries
+        ])
+
+    @property
+    def verdicts(self) -> frozenset:
+        """The set of the rows' verdicts, read from the entries; the CLI
+        takes its exit code from it."""
+        return frozenset(
+            tail[_TAIL_VERDICT] for _, _, entries in self.runs for tail, _ in entries
+        )
+
+    def _run_texts(self, head_text, tail_text, sep: str) -> list[str]:
+        """The text of each run that has rows: its rows joined by sep, each
+        the head_text of the run's head cells and the tail_text of its
+        entry's cells. A writer joins these texts once, so it never holds a
+        string per row."""
+        texts = []
+        for _, head_cells, entries in self.runs:
+            if entries:
+                head = head_text(head_cells)
+                tails = [tail_text(tail_cells) for _, tail_cells in entries]
+                texts.append(head + (sep + head).join(tails))
+        return texts
 
     def to_csv(self) -> str:
         lines = [f"# {key}: {value}" for key, value in self.metadata.items()]
         lines.append(",".join(REPORT_COLUMNS))
-        lines += map(",".join, self.cells)
-        return "\n".join(lines) + "\n"
+        lines += self._run_texts(lambda head: ",".join(head) + ",", ",".join, "\n")
+        lines.append("")
+        return "\n".join(lines)
 
     def to_json(self) -> str:
         """The bytes of json.dumps({"metadata": ..., "rows": [...]}, indent=2)
         plus a newline, each row the dict of REPORT_COLUMNS to its cells. An
         indented dumps runs the pure-Python encoder, so only the metadata
         goes through it, nested one level by indenting its lines (JSON
-        escapes every newline inside a string); each row fills _JSON_ROW
-        with its cells escaped by the C string encoder."""
+        escapes every newline inside a string); each row fills _JSON_HEAD
+        and _JSON_TAIL with its cells escaped by the C string encoder."""
         metadata = json.dumps(dict(self.metadata), indent=2).replace("\n", "\n  ")
-        if self.cells:
-            rows = "[\n" + ",\n".join(
-                [_JSON_ROW % tuple(map(_json_string, row)) for row in self.cells]
-            ) + "\n  ]"
-        else:
-            rows = "[]"
-        return '{\n  "metadata": ' + metadata + ',\n  "rows": ' + rows + "\n}\n"
+        opening = '{\n  "metadata": ' + metadata + ',\n  "rows": '
+        texts = self._run_texts(
+            lambda head: _JSON_HEAD % tuple(map(_json_string, head)),
+            lambda tail: _JSON_TAIL % tuple(map(_json_string, tail)),
+            ",\n",
+        )
+        if not texts:
+            return opening + "[]\n}\n"
+        texts[0] = opening + "[\n" + texts[0]
+        texts[-1] += "\n  ]\n}\n"
+        return ",\n".join(texts)
 
     def to_markdown(self) -> str:
         lines = [f"- {key}: {value}" for key, value in self.metadata.items()]
         lines.append("")
         lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
         lines.append("|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
-        lines += ["| " + " | ".join(row) + " |" for row in self.cells]
-        return "\n".join(lines) + "\n"
+        lines += self._run_texts(
+            lambda head: "| " + " | ".join(head) + " | ",
+            lambda tail: " | ".join(tail) + " |",
+            "\n",
+        )
+        lines.append("")
+        return "\n".join(lines)
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -747,11 +830,10 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
     return ERROR, str(exc)
 
 
-def _weight_axis(ws: tuple[int, ...]) -> tuple[tuple, dict, list[int]]:
+def _weight_axis(ws: tuple[int, ...]) -> tuple[dict, dict, list[int]]:
     """What a sweep checks once about its w values, for all its runs: the
-    w, g and m cells of each w in spec order; the _row_failure of each w
-    that _require_weight refuses; and the distinct accepted w, largest
-    first."""
+    w, g and m cells of each distinct w; the _row_failure of each w that
+    _require_weight refuses; and the distinct accepted w, largest first."""
     distinct = dict.fromkeys(ws)
     failures = {}
     for w in distinct:
@@ -760,7 +842,7 @@ def _weight_axis(ws: tuple[int, ...]) -> tuple[tuple, dict, list[int]]:
         except Exception as exc:
             failures[w] = _row_failure(exc)
     accepted = sorted((w for w in distinct if w not in failures), reverse=True)
-    return tuple(_row_cells((w, None, None)) for w in ws), failures, accepted
+    return {w: _row_cells((w, None, None)) for w in distinct}, failures, accepted
 
 
 def _weight_run(
@@ -769,14 +851,14 @@ def _weight_run(
     d: int,
     a: int,
     spec: SweepSpec,
-    axis: tuple[tuple, dict, list[int]],
+    axis: tuple[dict, dict, list[int]],
     table: dict,
     cache: CountCache,
     check_two_path: bool,
-) -> tuple[list[Row], list[tuple[str, ...]], list[str]]:
-    """The rows of one run, which share (family, ell, d, a), their cells and
-    their error messages, in row order: over the spec's w values,
-    each over its q axis. axis is the sweep's _weight_axis.
+) -> tuple[tuple, list[str]]:
+    """The CensusReport run of the rows that share (family, ell, d, a), and
+    their error messages, in row order: over the spec's w values, each over
+    its q axis. axis is the sweep's _weight_axis.
 
     Each row fails at the first check that refuses it, in the order
     block_invariants checks: the profile, then the row's own w, then the
@@ -786,15 +868,16 @@ def _weight_run(
     fixes (d, a).
 
     table is the sweep's block table: table[ell, a, denom, exactness] maps
-    each w to the block's _weight_values and their six cells. The run
-    evaluates its missing blocks largest w first, so the first grows every
-    grow-only CountCache table it reads to the length the run needs, and
-    the others read prefixes. The table stores no failure: a mismatch is
-    kept for this run only, so every run names its own family.
+    each w to the block's entry, its tail (w, g, m and the _weight_values)
+    as values and as cells, each formatted once. The run evaluates its
+    missing blocks largest w first, so the first grows every grow-only
+    CountCache table it reads to the length the run needs, and the others
+    read prefixes. The table stores no failure: a mismatch is kept for
+    this run only, so every run names its own family.
 
-    Then the rows are assembled in row order from table reads and tuples: a
-    row's cells are the run's head cells, the w cells and the block's
-    cells, each formatted once."""
+    Then the run's entries are listed in row order: a row that passes
+    every check refers to its w's block entry, and a failed row gets an
+    entry of its own."""
     w_cells, w_failures, accepted = axis
     qs = spec._q_axis()
     # per q, the failure of the profile check and of the group check, each
@@ -826,43 +909,33 @@ def _weight_run(
             except Exception as exc:
                 block_failures[w] = _row_failure(exc)
             else:
-                known[w] = values, _row_cells(values)
-    head = (family, None, ell, d, a)
-    head_cells = _row_cells(head)
-    rows, cells, errors = [], [], []
-    for w, w_cell in zip(spec.w_values, w_cells):
-        row_head = head + (w, None, None)
-        row_head_cells = head_cells + w_cell
+                known[w] = (w, None, None) + values, w_cells[w] + _row_cells(values)
+    entries, errors = [], []
+    for w in spec.w_values:
         w_failure = w_failures.get(w)
         block_failure = block_failures.get(w)
-        entry = known.get(w)
-        if entry is not None:
-            # Row._make without its Python-level call, which cost about
-            # 3 ms of census-wide's sweep; the parts have fixed lengths
-            row = tuple.__new__(Row, row_head + entry[0])
-            row_cells = row_head_cells + entry[1]
         for q, (profile_failure, group_failure) in zip(qs, checks):
             failure = profile_failure or w_failure or group_failure or block_failure
             # a row that passes every check has its w's block entry
             if failure is None:
-                rows.append(row)
-                cells.append(row_cells)
+                entries.append(known[w])
                 continue
             result, text = failure
             failed = (None, None, None, None, result, None)
-            rows.append(Row._make(row_head + failed))
-            cells.append(row_head_cells + _row_cells(failed))
+            entries.append(((w, None, None) + failed, w_cells[w] + _row_cells(failed)))
             param = {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
             errors.append(f"{family} row {param}: {text}")
-    return rows, cells, errors
+    head = (family, None, ell, d, a)
+    return (head, _row_cells(head), tuple(entries)), errors
 
 
 def _principal_row(
     param: dict, cache: CountCache, check_two_path: bool
-) -> tuple[Row, str | None]:
-    """One special-linear-range or PSLell sweep row and its error message,
-    if any, from one BlockQuery and one block_invariants call. The row
-    shows the query's g and m once the query is built."""
+) -> tuple[tuple, str | None]:
+    """One special-linear-range or PSLell sweep row, as a CensusReport run
+    of one row, and its error message, if any, from one BlockQuery and one
+    block_invariants call. The row shows the query's g and m once the query
+    is built."""
     family, ell, d, a, n = (param[key] for key in ("family", "ell", "d", "a", "n"))
     g, m = param.get("g"), None
     try:
@@ -883,7 +956,8 @@ def _principal_row(
         message = f"{family} row {param}: {text}"
     else:
         message = None
-    return Row._make((family, n, ell, d, a, None, g, m) + values), message
+    head, tail = (family, n, ell, d, a), (None, g, m) + values
+    return (head, _row_cells(head), ((tail, _row_cells(tail)),)), message
 
 
 def sweep(
@@ -892,11 +966,11 @@ def sweep(
     check_two_path: bool = True,
     timestamp: str | None = None,
 ) -> CensusReport:
-    """Evaluate every row of the sweep and assemble the report: its rows,
-    their cells and errors in row order: families outermost, then ell, d
-    (the divisors of ell - 1 where the spec gives none), a, then w and q
-    for a weight family; SLrange and SUrange rows run over ell, a, n, g and
-    q, PSLell rows over ell, a and q.
+    """Evaluate every row of the sweep and assemble the report: its runs
+    and errors in row order: families outermost, then ell, d (the divisors
+    of ell - 1 where the spec gives none), a, then w and q for a weight
+    family; SLrange and SUrange rows run over ell, a, n, g and q, PSLell
+    rows over ell, a and q.
 
     The rows of a weight family come in runs that share (family, ell, d, a)
     and differ in w and q (_weight_run). The w values are checked once per
@@ -908,9 +982,13 @@ def sweep(
     families share theirs, which give upper bounds. The census-wide grid's
     7,600 rows are 1,500 such evaluations. The counts depend on the block
     alone, since the colour counts and the cached slot series are functions
-    of (ell, a, denom), so sharing them weakens no check. The block table
-    lives for this call only. Every row still gets the verdict, error text
-    and report bytes of a block_invariants call of its own.
+    of (ell, a, denom), so sharing them weakens no check. Every row still
+    gets the verdict, error text and report bytes of a block_invariants call
+    of its own.
+
+    The report keeps one reference per row of a weight run to its block's
+    entry, and no Row: memory grows with the block table and by one
+    reference per row. The table itself lives for this call only.
 
     The cache tables are prefix-stable, so the order in which a run is
     evaluated changes no value: the report bytes are those of an evaluation
@@ -918,21 +996,19 @@ def sweep(
     cache = cache or shared_cache
     table = {}
     axis = _weight_axis(spec.w_values)
-    rows, cells, errors = [], [], []
+    runs, errors = [], []
     for family in spec.families:
         if family in WEIGHT_FAMILIES:
             for ell, d, a in spec._weight_runs():
-                run_rows, run_cells, run_errors = _weight_run(
+                run, run_errors = _weight_run(
                     family, ell, d, a, spec, axis, table, cache, check_two_path
                 )
-                rows += run_rows
-                cells += run_cells
+                runs.append(run)
                 errors += run_errors
         else:
             for param in spec._principal_params(family):
-                row, message = _principal_row(param, cache, check_two_path)
-                rows.append(row)
-                cells.append(_row_cells(row))
+                run, message = _principal_row(param, cache, check_two_path)
+                runs.append(run)
                 if message:
                     errors.append(message)
     metadata = {
@@ -942,4 +1018,4 @@ def sweep(
     }
     if timestamp is not None:
         metadata["timestamp"] = timestamp
-    return CensusReport(rows=rows, metadata=metadata, errors=errors, cells=cells)
+    return CensusReport(runs, metadata, errors)

@@ -88,8 +88,14 @@ def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
             if not width:
                 return [0] * (m + 1)
             return _kronecker(a, b, m, width)
+    # coefficient n pairs a with b[n], b[n - 1], ..., so each slice of b
+    # holds only the la entries that meet a; below la it stops at b[0]
     rb = b[::-1]
-    out = [sum(map(operator.mul, a, b[n::-1])) for n in range(min(m + 1, lb))]
+    out = [sum(map(operator.mul, a, b[n::-1])) for n in range(min(m + 1, la))]
+    out += [
+        sum(map(operator.mul, a, b[n : n - la : -1]))
+        for n in range(la, min(m + 1, lb))
+    ]
     out += [
         sum(map(operator.mul, a[n - lb + 1 :], rb))
         for n in range(lb, min(m + 1, la + lb - 1))

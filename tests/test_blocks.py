@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -958,6 +960,50 @@ def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):
     assert again.to_csv() == report.to_csv()
 
 
+def _live_rows():
+    return sum(1 for obj in gc.get_objects() if type(obj) is blocks.Row)
+
+
+def test_census_wide_report_holds_entry_references_not_rows():
+    # after the sweep and a rendering no Row is alive: each row is a
+    # reference to its block's entry, and the 7,600 rows share the 1,500
+    # entries of the block table. Reading rows builds them, equal to the
+    # row-by-row reference
+    cache = CountCache()
+    gc.collect()
+    before = _live_rows()
+    report = sweep(_CENSUS_WIDE, cache)
+    report.render("csv")
+    gc.collect()
+    assert _live_rows() == before
+    entries = [entry for _, _, run_entries in report.runs for entry in run_entries]
+    assert len(entries) == 7600 and len({id(entry) for entry in entries}) == 1500
+    rows = report.rows
+    assert len(rows) == 7600
+    reference, errors = _reference_sweep(_CENSUS_WIDE, cache)
+    assert _row_items(rows) == _row_items(reference) and errors == report.errors == ()
+    assert report.verdicts == {row.verdict for row in reference}
+
+
+# The peak of a census-wide sweep and its CSV rendering, from a fresh cache,
+# as a multiple of the CSV text: about 10 when the report kept a Row and a
+# cell tuple per row and rendered a list of line strings, under 4 with runs
+# of entry references
+_PEAK_PER_TEXT_CHAR = 6
+
+
+def test_census_wide_sweep_and_render_peak_is_a_few_times_the_text():
+    tracemalloc.start()
+    try:
+        report = sweep(_CENSUS_WIDE, CountCache())
+        text = report.render("csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 400_000
+    assert peak < _PEAK_PER_TEXT_CHAR * len(text)
+
+
 def test_sparse_large_weights_evaluate_only_the_asked_weights(monkeypatch):
     # GL (slot denominator 1) and Sp (2) at w = 0 and 2800 are four blocks;
     # nothing is evaluated at the weights in between, |D| included
@@ -1014,22 +1060,22 @@ def _reference_cell_text(value):
     return str(value)
 
 
-def _reference_renderings(report):
+def _reference_renderings(rows, metadata):
     # the renderers as they were when every format went through one string
     # dict per row
     cols = blocks.REPORT_COLUMNS
-    strings = [{col: _reference_cell_text(row.get(col)) for col in cols} for row in report.rows]
-    csv_lines = [f"# {key}: {report.metadata[key]}" for key in report.metadata]
+    strings = [{col: _reference_cell_text(row.get(col)) for col in cols} for row in rows]
+    csv_lines = [f"# {key}: {metadata[key]}" for key in metadata]
     csv_lines.append(",".join(cols))
     for row in strings:
         csv_lines.append(",".join(row[col] for col in cols))
-    md_lines = [f"- {key}: {report.metadata[key]}" for key in report.metadata]
+    md_lines = [f"- {key}: {metadata[key]}" for key in metadata]
     md_lines.append("")
     md_lines.append("| " + " | ".join(cols) + " |")
     md_lines.append("|" + "|".join(" --- " for _ in cols) + "|")
     for row in strings:
         md_lines.append("| " + " | ".join(row[col] for col in cols) + " |")
-    payload = {"metadata": dict(report.metadata), "rows": strings}
+    payload = {"metadata": dict(metadata), "rows": strings}
     return {
         "strings": strings,
         "csv": "\n".join(csv_lines) + "\n",
@@ -1059,13 +1105,15 @@ def test_renderers_match_the_row_string_reference():
         blocks.Row(verdict=blocks.ERROR, k_B=0),
         blocks.Row(**{col: 1 for col in reversed(blocks.REPORT_COLUMNS)}),
     ]
-    report = blocks.CensusReport(
+    report = blocks.CensusReport.from_rows(
         rows=rows,
         metadata={"tool": "blockcensus", "version": "0", "spec_hash": "ab"},
         errors=["GL row {}: w must be >= 0"],
         cells=tuple(map(blocks._row_cells, rows)),
     )
-    expected = _reference_renderings(report)
+    assert report.rows == tuple(rows)
+    assert len(report.runs) == len(rows)
+    expected = _reference_renderings(rows, report.metadata)
     assert _cell_dicts(report) == expected["strings"]
     assert report.to_csv() == report.render("csv") == expected["csv"]
     assert report.to_markdown() == report.render("md") == expected["md"]
@@ -1097,15 +1145,15 @@ def _awkward_report():
         "missing": None,
         "nested": {"list": [1, "z\u00fc", {"empty": []}], "empty": {}},
     }
-    return blocks.CensusReport(rows=(blocks.Row(),) * 2, metadata=metadata, cells=cells)
+    return blocks.CensusReport.from_rows(rows=(blocks.Row(),) * 2, metadata=metadata, cells=cells)
 
 
 @pytest.mark.parametrize(
     "make_report",
     [
-        pytest.param(lambda: blocks.CensusReport(rows=(), metadata={}), id="empty"),
+        pytest.param(lambda: blocks.CensusReport(runs=(), metadata={}), id="empty"),
         pytest.param(
-            lambda: blocks.CensusReport(rows=(), metadata={"tool": "blockcensus"}),
+            lambda: blocks.CensusReport.from_rows(rows=(), metadata={"tool": "blockcensus"}),
             id="no-rows",
         ),
         pytest.param(
@@ -1135,8 +1183,10 @@ def test_report_rows_are_immutable_records():
     assert row.get("q") is None and row.get("count", 0) == 0
     with pytest.raises(AttributeError):
         report.rows = ()
+    # each read of rows builds a new tuple from the runs
+    assert report.rows == report.rows and report.rows is not report.rows
     with pytest.raises(ValueError, match="a report of 6 rows has 5 cell rows"):
-        blocks.CensusReport(rows=report.rows, metadata={}, cells=report.cells[:-1])
+        blocks.CensusReport.from_rows(rows=report.rows, metadata={}, cells=report.cells[:-1])
 
 
 def test_hand_built_report_renders_ints_as_ints():
@@ -1145,7 +1195,7 @@ def test_hand_built_report_renders_ints_as_ints():
         family="GL", ell=3, d=1, a=1, w=0, k_B=1, abelian=1,
         verdict=blocks.HOLDS_EQUALITY_ABELIAN, two_path_checked=0,
     )
-    report = blocks.CensusReport(
+    report = blocks.CensusReport.from_rows(
         rows=[row], metadata={"tool": "blockcensus"}, cells=[blocks._row_cells(row)]
     )
     cells = ("GL", "", "3", "1", "1", "0", "", "", "1", "", "", "1", blocks.HOLDS_EQUALITY_ABELIAN, "0")
@@ -1154,7 +1204,7 @@ def test_hand_built_report_renders_ints_as_ints():
     assert report.to_markdown().splitlines()[-1] == "| " + " | ".join(cells) + " |"
     assert json.loads(report.to_json())["rows"] == [dict(zip(blocks.REPORT_COLUMNS, cells))]
     booled_row = row._replace(abelian=True, two_path_checked=False)
-    booled = blocks.CensusReport(
+    booled = blocks.CensusReport.from_rows(
         rows=[booled_row], metadata={}, cells=[blocks._row_cells(booled_row)]
     )
     assert booled.cells[0][-3:] == ("true", blocks.HOLDS_EQUALITY_ABELIAN, "false")
@@ -1203,11 +1253,11 @@ def test_sweep_renderings_match_a_row_by_row_reference(
         monkeypatch.setattr(slots, "block_count_proof_path", lambda *args: real(*args) + 1)
     report = sweep(spec, CountCache(), check_two_path, timestamp="2026-01-01T00:00:00+00:00")
     formatted = tuple(map(blocks._row_cells, report.rows))
-    reference = blocks.CensusReport(
+    reference = blocks.CensusReport.from_rows(
         rows=report.rows, metadata=report.metadata, errors=report.errors, cells=formatted
     )
     assert report.cells == formatted
-    expected = _reference_renderings(report)
+    expected = _reference_renderings(report.rows, report.metadata)
     for fmt in ("csv", "json", "md"):
         assert report.render(fmt) == reference.render(fmt) == expected[fmt]
     verdicts = {row.verdict for row in report.rows}
@@ -1216,6 +1266,66 @@ def test_sweep_renderings_match_a_row_by_row_reference(
         if row.k_B is not None:
             checked = check_two_path and row.family in blocks.WEIGHT_FAMILIES
             assert cells[-1] == ("true" if checked else "false")
+
+
+def _reference_cells(rows):
+    return tuple(tuple(_reference_cell_text(value) for value in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # q = 2 witnesses d = 2 and q = 4 witnesses d = 1 at ell = 3, so each
+        # of the two runs holds a failed and a passing row at every w
+        pytest.param(
+            SweepSpec(
+                families=(blocks.GL,), ell_values=(3,), w_values=(0, 1), q_values=(2, 4)
+            ),
+            id="q-axis",
+        ),
+        # the mixed error grid: profile, weight and group failures between
+        # passing rows, and principal-family runs of one row
+        pytest.param(
+            SweepSpec(
+                families=(
+                    blocks.GL, blocks.GU, blocks.SP, blocks.SOEVEN_PLUS,
+                    blocks.SLRANGE, blocks.SURANGE, blocks.PSLELL,
+                ),
+                ell_values=(3, 5, 7),
+                d_values=(1, 2, 3, 4),
+                a_values=(0, 1, 2),
+                w_values=(-1, 0, 2, 2, 5),
+                n_values=(-3, 0, 1, 3),
+                g_values=(0, 1, 2),
+                q_values=(2, 3, 4, 7, 11),
+            ),
+            id="mixed-error-grid",
+        ),
+    ],
+)
+def test_failed_entries_inside_runs_match_the_row_by_row_reference(spec):
+    cache = CountCache()
+    report = sweep(spec, cache, timestamp="2026-01-01T00:00:00+00:00")
+    rows, errors = _reference_sweep(spec, cache)
+    assert _row_items(report.rows) == _row_items(rows)
+    assert report.cells == _reference_cells(rows)
+    assert report.errors == errors
+    expected = _reference_renderings(rows, report.metadata)
+    for fmt in ("csv", "json", "md"):
+        assert report.render(fmt) == expected[fmt]
+    # some run holds failed and passing rows, and each failed row has an
+    # entry of its own
+    verdict = blocks.REPORT_COLUMNS.index("verdict") - len(report.runs[0][0])
+    mixed = [
+        entries for _, _, entries in report.runs
+        if len({tail[verdict] == blocks.ERROR for tail, _ in entries}) == 2
+    ]
+    assert mixed
+    failed = [
+        id(entry) for _, _, entries in report.runs for entry in entries
+        if entry[0][verdict] == blocks.ERROR
+    ]
+    assert len(failed) == len(set(failed)) == len(errors)
 
 
 def _small_tuples(elements, min_size=0):
@@ -1243,6 +1353,6 @@ def test_random_sweeps_match_the_row_by_row_reference(spec):
     rows, errors = _reference_sweep(spec, cache)
     assert _row_items(report.rows) == _row_items(rows)
     assert report.errors == errors
-    expected = _reference_renderings(report)
+    expected = _reference_renderings(rows, report.metadata)
     for fmt in ("csv", "json", "md"):
         assert report.render(fmt) == expected[fmt]

@@ -259,7 +259,7 @@ def test_census_violation_row_exit_code(monkeypatch, capsys):
         report = real_sweep(spec, **kwargs)
         bad = report.rows[0]._replace(verdict=blocks.VIOLATION)
         rows = report.rows + (bad,)
-        return blocks.CensusReport(
+        return blocks.CensusReport.from_rows(
             rows=rows,
             metadata=report.metadata,
             errors=report.errors,

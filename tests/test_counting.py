@@ -416,6 +416,22 @@ def test_slot_width_is_never_wider_than_the_untruncated_bound(a, b, data):
     assert (_slot_width(a, b, m) == 0) == (_schoolbook(a, b, m) == [0] * (m + 1))
 
 
+@pytest.mark.parametrize("la", [1, 2, 127])
+def test_mul_trunc_schoolbook_windows_are_the_schoolbook_product(la):
+    # below the packing length, coefficient n is a dot product of the
+    # shorter operand with a window of the longer one, which stops at its
+    # first entry for n < la; m runs across la - 1, la, lb - 1, lb and the
+    # end of the product. la = 1 is the product [1] * g that starts a fresh
+    # closed-form row
+    assert la < KRONECKER_MIN_LEN
+    a = [3 * i + 1 for i in range(la)]
+    for lb in sorted({la, la + 1, 150, 300}):
+        b = [(7 * j) % 11 + 10**20 * (j % 3) for j in range(lb)]
+        for m in sorted({0, la - 1, la, lb - 1, lb, la + lb - 2, la + lb + 3}):
+            assert _mul_trunc(a, b, m) == _schoolbook(a, b, m)
+            assert _mul_trunc(b, a, m) == _schoolbook(a, b, m)
+
+
 def test_mul_trunc_front_loaded_operand_meets_the_end_of_the_longer():
     # a_0 pairs with b's last coefficient: past the end of b, the bound takes
     # b's maximum, not zero

@@ -32,6 +32,10 @@ from blockcensus.tables import (
 _PROFILE = EllProfile(3, 1, 1, 4)
 _IDENTITY = ClassRow("T", 1, 1, 1)
 _REPORT_ROW = Row(family="GL", ell=3, d=1, a=1, w=0, verdict=blocks.ERROR)
+_REPORT_CELLS = blocks._row_cells(_REPORT_ROW)
+# a report run of one row: the values and cells of the columns before w,
+# then one entry, the values and cells of the rest
+_REPORT_RUN = (_REPORT_ROW[:5], _REPORT_CELLS[:5], ((_REPORT_ROW[5:], _REPORT_CELLS[5:]),))
 _DATUM = ClassDatum(((1, 0), (0, 1)), 1, 6, 1)
 
 # type: (fields in order, their defaults, a valid sample's arguments, a
@@ -74,13 +78,9 @@ RECORDS = {
         {"families": (blocks.GL,)},
     ),
     CensusReport: (
-        ("rows", "metadata", "errors", "cells"),
-        {"errors": (), "cells": ()},
-        {
-            "rows": (_REPORT_ROW,),
-            "metadata": {"tool": "blockcensus"},
-            "cells": (blocks._row_cells(_REPORT_ROW),),
-        },
+        ("runs", "metadata", "errors"),
+        {"errors": ()},
+        {"runs": (_REPORT_RUN,), "metadata": {"tool": "blockcensus"}},
         {"metadata": {"tool": "other"}},
     ),
     SlotClass: (
@@ -232,17 +232,20 @@ def test_record_repr_literals():
 
 
 def test_census_report_normalises_its_sequences():
-    report = CensusReport(
-        [_REPORT_ROW], {"tool": "blockcensus"}, ["GL row: bad"], [blocks._row_cells(_REPORT_ROW)]
-    )
-    assert report.rows == (_REPORT_ROW,) and type(report.rows) is tuple
+    report = CensusReport([_REPORT_RUN], {"tool": "blockcensus"}, ["GL row: bad"])
+    assert report.runs == (_REPORT_RUN,) and type(report.runs) is tuple
     assert report.errors == ("GL row: bad",) and type(report.errors) is tuple
-    assert report.cells == (blocks._row_cells(_REPORT_ROW),) and type(report.cells) is tuple
-    given = CensusReport(rows=[_REPORT_ROW], metadata={}, cells=[report.cells[0]])
-    assert type(given.cells) is tuple and given.cells == report.cells
+    # rows and cells are tuples built from the runs
+    assert report.rows == (_REPORT_ROW,) and type(report.rows) is tuple
+    assert report.cells == (_REPORT_CELLS,) and type(report.cells) is tuple
+    # rows given one by one with their cells become runs of one row each
+    given = CensusReport.from_rows(
+        [_REPORT_ROW], {"tool": "blockcensus"}, ["GL row: bad"], [list(_REPORT_CELLS)]
+    )
+    assert given == report
     # the writers read only cells, so rows without them are refused
     with pytest.raises(ValueError, match="a report of 1 rows has 0 cell rows"):
-        CensusReport(rows=[_REPORT_ROW], metadata={})
+        CensusReport.from_rows(rows=[_REPORT_ROW], metadata={})
 
 
 # bad values for each of the eight records that check theirs
@@ -259,8 +262,13 @@ _INVALID = [
     (BlockQuery, (blocks.GL, EllProfile(3, 2, 1), 2, 3), {}, "weight 2 does not fit into rank 3"),
     (BlockQuery, (blocks.SOEVEN_PLUS, _PROFILE), {"n": 3}, "even orthogonal families need n >= 4"),
     (BlockQuery, (blocks.GL, _PROFILE), {"g": 2}, "g must be <= a"),
-    (CensusReport, ((_REPORT_ROW,), {}), {"cells": ()}, "a report of 1 rows has 0 cell rows"),
-    (CensusReport, ((), {}, (), ((),)), {}, "a report of 0 rows has 1 cell rows"),
+    (
+        CensusReport,
+        (((_REPORT_ROW[:5], _REPORT_CELLS[:4], ()),), {}),
+        {},
+        "a run head needs 5 values and 5 cells, got 5 and 4",
+    ),
+    (CensusReport, (((_REPORT_ROW, _REPORT_CELLS, ()),), {}), {}, "got 14 and 14"),
     (SlotClass, (1, 0, 1, slots.LINEAR, 1), {}, "slot_count must be >= 1"),
     (SlotClass, (), {**RECORDS[SlotClass][2], "unit_weight": 0}, "unit_weight must be >= 1"),
     (ClassRow, ("T", 1, 0, 1), {}, "e_count and class_size must be >= 1"),
