@@ -649,18 +649,27 @@ class Row(NamedTuple):
 
 REPORT_COLUMNS = Row._fields
 
-# A run's head is the report columns before w, which the rows of a weight
-# run share; a row's tail is the rest
+# A run's head is the first report columns of its rows, which they share:
+# those before w for a weight run, the family alone for the one run of an
+# SLrange, SUrange or PSLell family. A head has 1 to _HEAD columns, so the
+# verdict is in the tail, the rest of a row, at _VERDICT from its end
 _HEAD = REPORT_COLUMNS.index("w")
-_TAIL_VERDICT = REPORT_COLUMNS.index("verdict") - _HEAD
+_VERDICT = REPORT_COLUMNS.index("verdict") - len(REPORT_COLUMNS)
 
 # One row of CensusReport.to_json, at the depth and in the layout of an
-# indent=2 json.dumps, with a %s for each escaped cell, split into the head
-# and the tail
+# indent=2 json.dumps, with a %s for each escaped cell, split into a head
+# and a tail: _JSON_HEADS[i] is the part of a head of i columns, and
+# _JSON_TAILS[j] that of a tail of j columns
 _json_string = json.encoder.encode_basestring_ascii
 _JSON_FIELDS = [f"      {_json_string(column)}: %s" for column in REPORT_COLUMNS]
-_JSON_HEAD = "    {\n" + "".join(field + ",\n" for field in _JSON_FIELDS[:_HEAD])
-_JSON_TAIL = ",\n".join(_JSON_FIELDS[_HEAD:]) + "\n    }"
+_JSON_HEADS = {
+    i: "    {\n" + "".join(field + ",\n" for field in _JSON_FIELDS[:i])
+    for i in range(1, _HEAD + 1)
+}
+_JSON_TAILS = {
+    len(REPORT_COLUMNS) - i: ",\n".join(_JSON_FIELDS[i:]) + "\n    }"
+    for i in range(1, _HEAD + 1)
+}
 
 
 def _row_cells(values) -> tuple[str, ...]:
@@ -685,13 +694,15 @@ class _CensusReportFields(NamedTuple):
 class CensusReport(_CensusReportFields):
     """A census, immutable. runs holds its rows in row order, run by run.
     A run is (head, head_cells, entries): the values and the text of the
-    columns before w, which its rows share, and one entry per row. An entry
-    is (tail, tail_cells), the values and the text of the row's other
-    columns. The rows of a sweep's weight run refer to the entries of the
-    sweep's block table, so rows of one block share one entry; a failed
-    row has an entry of its own, and a principal-family row is a run of
-    one row. errors holds the message of each ERROR or INTERNAL_MISMATCH
-    row, in row order.
+    first columns of its rows, which they share, from the family to at most
+    the columns before w, and one entry per row. An entry is (tail,
+    tail_cells), the values and the text of the row's other columns. A
+    sweep's weight run shares the columns before w, and its rows refer to
+    the entries of the sweep's block table, so rows of one block share one
+    entry; a failed row has an entry of its own. The rows of an SLrange,
+    SUrange or PSLell family form one run that shares the family, each row
+    with an entry of its own. errors holds the message of each ERROR or
+    INTERNAL_MISMATCH row, in row order.
 
     rows and cells are built on each read. The writers and verdicts read
     the runs only, so a census written by the CLI builds no Row."""
@@ -701,9 +712,9 @@ class CensusReport(_CensusReportFields):
     def __new__(cls, runs, metadata, errors=()):
         runs = tuple(runs)
         for head, head_cells, _ in runs:
-            if not len(head) == len(head_cells) == _HEAD:
+            if len(head) != len(head_cells) or not 1 <= len(head) <= _HEAD:
                 raise ValueError(
-                    f"a run head needs {_HEAD} values and {_HEAD} cells, "
+                    f"a run head needs as many cells as values, 1 to {_HEAD}, "
                     f"got {len(head)} and {len(head_cells)}"
                 )
         return super().__new__(cls, runs, metadata, tuple(errors))
@@ -749,7 +760,7 @@ class CensusReport(_CensusReportFields):
         """The set of the rows' verdicts, read from the entries; the CLI
         takes its exit code from it."""
         return frozenset(
-            tail[_TAIL_VERDICT] for _, _, entries in self.runs for tail, _ in entries
+            tail[_VERDICT] for _, _, entries in self.runs for tail, _ in entries
         )
 
     def _run_texts(self, head_text, tail_text, sep: str) -> list[str]:
@@ -777,13 +788,14 @@ class CensusReport(_CensusReportFields):
         plus a newline, each row the dict of REPORT_COLUMNS to its cells. An
         indented dumps runs the pure-Python encoder, so only the metadata
         goes through it, nested one level by indenting its lines (JSON
-        escapes every newline inside a string); each row fills _JSON_HEAD
-        and _JSON_TAIL with its cells escaped by the C string encoder."""
+        escapes every newline inside a string); each row fills the
+        _JSON_HEADS and _JSON_TAILS parts of its run's split with its cells
+        escaped by the C string encoder."""
         metadata = json.dumps(dict(self.metadata), indent=2).replace("\n", "\n  ")
         opening = '{\n  "metadata": ' + metadata + ',\n  "rows": '
         texts = self._run_texts(
-            lambda head: _JSON_HEAD % tuple(map(_json_string, head)),
-            lambda tail: _JSON_TAIL % tuple(map(_json_string, tail)),
+            lambda head: _JSON_HEADS[len(head)] % tuple(map(_json_string, head)),
+            lambda tail: _JSON_TAILS[len(tail)] % tuple(map(_json_string, tail)),
             ",\n",
         )
         if not texts:
@@ -932,10 +944,10 @@ def _weight_run(
 def _principal_row(
     param: dict, cache: CountCache, check_two_path: bool
 ) -> tuple[tuple, str | None]:
-    """One special-linear-range or PSLell sweep row, as a CensusReport run
-    of one row, and its error message, if any, from one BlockQuery and one
-    block_invariants call. The row shows the query's g and m once the query
-    is built."""
+    """The CensusReport entry of one special-linear-range or PSLell sweep
+    row, its columns after the family, and its error message, if any, from
+    one BlockQuery and one block_invariants call. The row shows the query's
+    g and m once the query is built."""
     family, ell, d, a, n = (param[key] for key in ("family", "ell", "d", "a", "n"))
     g, m = param.get("g"), None
     try:
@@ -956,8 +968,8 @@ def _principal_row(
         message = f"{family} row {param}: {text}"
     else:
         message = None
-    head, tail = (family, n, ell, d, a), (None, g, m) + values
-    return (head, _row_cells(head), ((tail, _row_cells(tail)),)), message
+    tail = (n, ell, d, a, None, g, m) + values
+    return (tail, _row_cells(tail)), message
 
 
 def sweep(
@@ -987,8 +999,11 @@ def sweep(
     of its own.
 
     The report keeps one reference per row of a weight run to its block's
-    entry, and no Row: memory grows with the block table and by one
-    reference per row. The table itself lives for this call only.
+    entry, and no Row: a weight family's memory grows with the block table
+    and by one reference per row. The table itself lives for this call
+    only. The rows of an SLrange, SUrange or PSLell family form one run,
+    which shares the family; each row has an entry of its own, the values
+    and text of its other columns.
 
     The cache tables are prefix-stable, so the order in which a run is
     evaluated changes no value: the report bytes are those of an evaluation
@@ -1006,11 +1021,14 @@ def sweep(
                 runs.append(run)
                 errors += run_errors
         else:
+            entries = []
             for param in spec._principal_params(family):
-                run, message = _principal_row(param, cache, check_two_path)
-                runs.append(run)
+                entry, message = _principal_row(param, cache, check_two_path)
+                entries.append(entry)
                 if message:
                     errors.append(message)
+            head = (family,)
+            runs.append((head, _row_cells(head), tuple(entries)))
     metadata = {
         "tool": "blockcensus",
         "version": __version__,

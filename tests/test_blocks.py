@@ -1284,7 +1284,7 @@ def _reference_cells(rows):
             id="q-axis",
         ),
         # the mixed error grid: profile, weight and group failures between
-        # passing rows, and principal-family runs of one row
+        # passing rows, and principal families with failed rows
         pytest.param(
             SweepSpec(
                 families=(
@@ -1315,7 +1315,7 @@ def test_failed_entries_inside_runs_match_the_row_by_row_reference(spec):
         assert report.render(fmt) == expected[fmt]
     # some run holds failed and passing rows, and each failed row has an
     # entry of its own
-    verdict = blocks.REPORT_COLUMNS.index("verdict") - len(report.runs[0][0])
+    verdict = blocks.REPORT_COLUMNS.index("verdict") - len(blocks.REPORT_COLUMNS)
     mixed = [
         entries for _, _, entries in report.runs
         if len({tail[verdict] == blocks.ERROR for tail, _ in entries}) == 2
@@ -1326,6 +1326,37 @@ def test_failed_entries_inside_runs_match_the_row_by_row_reference(spec):
         if entry[0][verdict] == blocks.ERROR
     ]
     assert len(failed) == len(set(failed)) == len(errors)
+    # a weight run holds the rows that share family, n, ell, d and a, and
+    # an SLrange, SUrange or PSLell family is one run
+    heads = [head for head, _, _ in report.runs]
+    assert all(head != following for head, following in zip(heads, heads[1:]))
+
+
+@pytest.mark.parametrize("split", range(1, 6))
+def test_runs_with_any_head_length_render_their_rows(split):
+    # the rows of a sweep regrouped into runs whose heads hold their first
+    # split columns read and render as the sweep's own report
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.SP, blocks.SLRANGE, blocks.PSLELL),
+        ell_values=(3, 5),
+        a_values=(1, 2),
+        w_values=(0, 1, 2),
+        n_values=(1, 3),
+        q_values=(2, 4),
+    )
+    report = sweep(spec, CountCache(), timestamp="2026-01-01T00:00:00+00:00")
+    runs = [
+        (tuple(head), head_cells, tuple((row[split:], text[split:]) for row, text in pairs))
+        for (head, head_cells), pairs in itertools.groupby(
+            zip(map(tuple, report.rows), report.cells),
+            key=lambda pair: (pair[0][:split], pair[1][:split]),
+        )
+    ]
+    regrouped = blocks.CensusReport(runs, report.metadata, report.errors)
+    assert regrouped.rows == report.rows and regrouped.cells == report.cells
+    assert regrouped.verdicts == report.verdicts and blocks.ERROR in report.verdicts
+    for fmt in ("csv", "json", "md"):
+        assert regrouped.render(fmt) == report.render(fmt)
 
 
 def _small_tuples(elements, min_size=0):

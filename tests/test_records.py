@@ -246,6 +246,11 @@ def test_census_report_normalises_its_sequences():
     # the writers read only cells, so rows without them are refused
     with pytest.raises(ValueError, match="a report of 1 rows has 0 cell rows"):
         CensusReport.from_rows(rows=[_REPORT_ROW], metadata={})
+    with pytest.raises(ValueError, match="a report of 0 rows has 1 cell rows"):
+        CensusReport.from_rows(rows=(), metadata={}, cells=((),))
+    # a run head holds the family at least
+    with pytest.raises(ValueError, match="1 to 5, got 0 and 0"):
+        CensusReport([((), (), ((_REPORT_ROW, _REPORT_CELLS),))], {})
 
 
 # bad values for each of the eight records that check theirs
@@ -266,7 +271,7 @@ _INVALID = [
         CensusReport,
         (((_REPORT_ROW[:5], _REPORT_CELLS[:4], ()),), {}),
         {},
-        "a run head needs 5 values and 5 cells, got 5 and 4",
+        "a run head needs as many cells as values, 1 to 5, got 5 and 4",
     ),
     (CensusReport, (((_REPORT_ROW, _REPORT_CELLS, ()),), {}), {}, "got 14 and 14"),
     (SlotClass, (1, 0, 1, slots.LINEAR, 1), {}, "slot_count must be >= 1"),
