@@ -285,7 +285,7 @@ def _require_indexable(name: str, value: int) -> None:
     # the tables a weight or rank reaches hold value + 1 entries, and no
     # list holds more than sys.maxsize
     if value >= sys.maxsize:
-        raise ValueError(f"{name} = {value} is too large to index a table")
+        raise ValueError(f"{name} = {decimal_text(value)} is too large to index a table")
 
 
 def _require_odd(profile: EllProfile) -> None:
@@ -829,8 +829,15 @@ class CensusReport(_CensusReportFields):
 
 
 def spec_hash(spec: SweepSpec) -> str:
-    canon = json.dumps(spec.canonical(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    canon = spec.canonical()
+    try:
+        text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        # an int past the int/str conversion limit, which json writes by
+        # str: hash every listed value as its decimal_text string instead
+        texts = {k: [decimal_text(v) for v in vs] if type(vs) is list else vs for k, vs in canon.items()}
+        text = json.dumps(texts, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _row_failure(exc: Exception) -> tuple[str, str]:
@@ -841,6 +848,13 @@ def _row_failure(exc: Exception) -> tuple[str, str]:
     if isinstance(exc, ArithmeticError) and not isinstance(exc, OverflowError):
         return INTERNAL_MISMATCH, f"internal mismatch: {exc}"
     return ERROR, str(exc)
+
+
+def _param_text(**param) -> str:
+    """The repr of the dict param, with each int written by decimal_text, so
+    a w or n past the int/str conversion limit still makes a message."""
+    items = (f"{k!r}: {decimal_text(v) if type(v) is int else repr(v)}" for k, v in param.items())
+    return "{" + ", ".join(items) + "}"
 
 
 def _weight_axis(ws: tuple[int, ...]) -> tuple[dict, dict, list[int]]:
@@ -936,7 +950,7 @@ def _weight_run(
             result, text = failure
             failed = (None, None, None, None, result, None)
             entries.append(((w, None, None) + failed, w_cells[w] + _row_cells(failed)))
-            param = {"family": family, "ell": ell, "d": d, "a": a, "w": w, "q": q}
+            param = _param_text(family=family, ell=ell, d=d, a=a, w=w, q=q)
             errors.append(f"{family} row {param}: {text}")
     head = (family, None, ell, d, a)
     return (head, _row_cells(head), tuple(entries)), errors
@@ -972,7 +986,7 @@ def _principal_run(
                         param = dict(family=family, ell=ell, d=1, a=a, n=n, g=g, q=q)
                         if family == PSLELL:
                             del param["g"]
-                        errors.append(f"{family} row {param}: {text}")
+                        errors.append(f"{family} row {_param_text(**param)}: {text}")
                     tail = (n, ell, 1, a, None, shown_g, m) + values
                     entries.append((tail, _row_cells(tail)))
     head = (family,)

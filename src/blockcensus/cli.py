@@ -97,7 +97,8 @@ def _int_values(flag_values, config, key) -> tuple[int, ...]:
 # it, so every main call can share it.
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="blockcensus", description=__doc__)
+    raw = argparse.RawDescriptionHelpFormatter  # keeps the docstring's table
+    parser = _Parser(prog="blockcensus", description=__doc__, formatter_class=raw)
     parser.add_argument("--version", action="version", version=f"blockcensus {__version__}")
     sub = parser.add_subparsers(dest="command")
 

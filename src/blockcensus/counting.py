@@ -11,14 +11,17 @@ row K_s = P(x)**s and a tail series prod_j K_t(x**(ell**j)) are both Euler
 products, built from their divisor-sum sequence g by one online convolution
 (CountCache._euler_row). Both census paths take their long series products
 from one kernel, _mul_trunc: the closed form inside that convolution, the
-slot path for its partition powers and folds. The kernel is an input both
-paths share, like slots.slot_denominator, so the two-path check cannot
-cover it; tests/test_counting.py pins it against a literal schoolbook
-product.
+slot path for its deep factor and its fold. The partition powers P(x)**c,
+partition numbers included, take no product: each grows by a sparse
+recurrence over Euler's pentagonal series (CountCache._power_row). The
+kernel is an input both paths share, like slots.slot_denominator, so the
+two-path check cannot cover it; tests/test_counting.py pins it against a
+literal schoolbook product.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -62,9 +65,11 @@ def exact_div(num: int, den: int) -> int:
     return quot
 
 
-# Operand length from which _mul_trunc packs instead of looping. On
-# partition-number series (Python 3.11, x86_64) the decimal product passed
-# the schoolbook loop between lengths 100 and 200.
+# Operand length from which _mul_trunc packs instead of looping, and the
+# leaf size of _online_row. On partition-number series (Python 3.11, x86_64)
+# the decimal product passed the schoolbook loop between lengths 100 and
+# 200. Of 32 to 256 on the census-wide and census-deep grids, none beat 128
+# on both; 192 and 256 took census-deep about 8% longer.
 KRONECKER_MIN_LEN = 128
 
 # The ell at which CountCache._euler_row grows the plain row K_s = P(x)**s:
@@ -88,9 +93,8 @@ def _mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
     (sys.get_int_max_str_digits), and wider coefficients take the
     schoolbook loop, so the limit is never changed.
     """
-    square = a is b
     a = a[: m + 1]
-    b = a if square else b[: m + 1]
+    b = b[: m + 1]
     if len(a) > len(b):
         a, b = b, a
     la, lb = len(a), len(b)
@@ -151,7 +155,7 @@ def _kronecker(a: list[int], b: list[int], m: int, width: int) -> list[int]:
     )
     slot = f"%0{width}d".__mod__
     packed_a = decimal.Decimal("".join(map(slot, reversed(a))))
-    packed_b = packed_a if b is a else decimal.Decimal("".join(map(slot, reversed(b))))
+    packed_b = decimal.Decimal("".join(map(slot, reversed(b))))
     count = min(m + 1, len(a) + len(b) - 1)
     digits = str(context.multiply(packed_a, packed_b)).rjust(count * width, "0")
     # the coefficient of x**n ends n * width digits from the right
@@ -187,21 +191,21 @@ def _require_odd_prime(ell: int) -> None:
 class CountCache:
     """Memo tables shared by the counting functions.
 
-    Tables: the partition numbers, the divisor sums sigma(n), the
-    ell-power partition counts p_ell(ell, 0..) in _p_ell_tables, one table
-    per prime, and one Euler-product series per (ell, s), which is the
-    coloured-partition row k(s, 0..) at ell = PLAIN and the tail series
-    c_s(0..) of composition_sum at a prime ell. The slot path owns two
-    more: one series per (ell, a, denom), the slot product that
-    slots.block_count_proof_path reads its counts from, and in _powers one
-    partition power P(x)**c per exponent c, which only
-    slots._partition_power reads, so slot keys that need the same power
-    share it. Nothing in the closed-form path reads either, and the slot
-    path reads neither the sigma table nor the coloured-partition rows.
-    Every table only grows, and a fresh cache recomputes identical values,
-    so a longer table never changes an entry already read. The slot series
-    and the partition powers grow by replacement with a longer list, the
-    others by appending.
+    Tables: the divisor sums sigma(n), the ell-power partition counts
+    p_ell(ell, 0..) in _p_ell_tables, one table per prime, one
+    Euler-product series per (ell, s), which is the coloured-partition row
+    k(s, 0..) at ell = PLAIN and the tail series c_s(0..) of
+    composition_sum at a prime ell, and in _powers one partition power
+    P(x)**c per exponent c >= 1, whose row c = 1 holds the partition
+    numbers. The slot path reads the powers through slots._partition_power,
+    so slot keys that need the same power share it, and owns one more
+    table: one series per (ell, a, denom), the slot product that
+    slots.block_count_proof_path reads its counts from. The closed-form
+    path reads neither, and the slot path reads neither the sigma table
+    nor the coloured-partition rows. Every table only grows, and a fresh
+    cache recomputes identical values, so a longer table never changes an
+    entry already read. The slot series grow by replacement with a longer
+    list, the others by appending.
 
     A cache is single-threaded: a table is extended in place with no lock.
     A program that counts from several threads gives each thread its own
@@ -209,7 +213,6 @@ class CountCache:
     """
 
     def __init__(self) -> None:
-        self._partitions: list[int] = [1]
         self._sigma: list[int] = [0]  # divisor sums, index 0 unused
         self._series: dict[tuple[int, int], list[int]] = {}
         self._p_ell_tables: dict[int, list[int]] = {}
@@ -217,27 +220,44 @@ class CountCache:
         self._powers: dict[int, list[int]] = {}
 
     def partition_count(self, t: int) -> int:
-        """Number of partitions of t, by the pentagonal-number recurrence."""
+        """Number of partitions of t: row c = 1 of the partition powers."""
         if t < 0:
             raise ValueError("partition size must be >= 0")
-        parts = self._partitions
-        if t < len(parts):
-            return parts[t]
-        for n in range(len(parts), t + 1):
-            acc = 0
-            k = 1
-            while True:
-                g = k * (3 * k - 1) // 2
-                if g > n:
-                    break
-                sign = 1 if k % 2 else -1
-                acc += sign * parts[n - g]
-                g += k
-                if g <= n:
-                    acc += sign * parts[n - g]
-                k += 1
-            parts.append(acc)
-        return parts[t]
+        return self._power_row(1, t)[t]
+
+    def _power_row(self, c: int, n: int) -> list[int]:
+        """The partition power P(x)**c = 1 + c x + ..., c >= 1, holding at
+        least n + 1 entries; grown in place by appending, with no product.
+
+        By Euler's pentagonal theorem P(x)**c = E(x)**-c, where
+        E(x) = prod_{k>=1} (1 - x**k) has e(k) = (-1)**j at the generalised
+        pentagonal numbers k = j(3j - 1)/2 and j(3j + 1)/2, j >= 1, and no
+        other term past e(0) = 1. J. C. P. Miller's power recurrence (Knuth,
+        TAOCP vol. 2, 4.7) for f = E**-c reads
+
+            n f(n) = sum_{pentagonal k <= n} ((1 - c) k - n) e(k) f(n - k),
+
+        that is f(n) = (1 - c) B / n - A with A = sum e(k) f(n - k) and
+        B = sum k e(k) f(n - k); the division by n is checked."""
+        row = self._powers.setdefault(c, [1, c])
+        start = len(row)
+        if n < start:
+            return row
+        # the pentagonal k <= n (and perhaps one past it) in ascending order,
+        # whose e(k) runs -1, -1, +1, +1, -1, -1, ...
+        pent, j = [], 1
+        while j * (3 * j - 1) // 2 <= n:
+            pent += (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+            j += 1
+        weight = [(1 - c) * k * (-1) ** (i // 2 + 1) for i, k in enumerate(pent)]
+        ends = [-k for k in pent]
+        for m in range(start, n + 1):
+            # row holds f(0..m-1), so f(m - k) is row[-k]; from m = 2 on at
+            # least two k <= m, so itemgetter gives a tuple
+            f = operator.itemgetter(*ends[: bisect.bisect_right(pent, m)])(row)
+            a = sum(f[2::4]) + sum(f[3::4]) - sum(f[::4]) - sum(f[1::4])
+            row.append(exact_div(sum(map(operator.mul, weight, f)), m) - a)
+        return row
 
     def _extend_sigma(self, n: int) -> None:
         # a sieve adds each i to its multiples in the new range len(sig)..n
@@ -302,12 +322,11 @@ class CountCache:
         shorter entry is replaced by build(max(n, 2 * len)), so a sweep of
         ascending n rebuilds it O(log n) times; an entry is never changed
         after it is stored."""
-        return _grown(self._slots, key, n, build)
-
-    def _power_series(self, c: int, n: int, build) -> list[int]:
-        """P(x)**c, holding at least n + 1 entries, for the slot path's
-        slots._partition_power; grown as _slot_series grows its series."""
-        return _grown(self._powers, c, n, build)
+        series = self._slots.get(key)
+        if series is None or n >= len(series):
+            series = build(max(n, 2 * len(series)) if series else n)
+            self._slots[key] = series
+        return series
 
     def p_ell(self, ell: int, w: int) -> int:
         """Number of ways to write w as an ordered sum of ell-power levels.
@@ -335,15 +354,6 @@ class CountCache:
                 val += tab[n // ell]
             tab.append(val)
         return tab
-
-
-def _grown(table: dict, key, n: int, build) -> list[int]:
-    # replaces a missing or shorter entry by build(max(n, 2 * len))
-    series = table.get(key)
-    if series is None or n >= len(series):
-        series = build(max(n, 2 * len(series)) if series else n)
-        table[key] = series
-    return series
 
 
 def _online_row(

@@ -15,19 +15,21 @@ The counting routines never enumerate weight vectors. A class of c slots at
 unit weight u contributes the factor P(x**u)**c, with P the partition
 generating function, and the principal factor is P(x)**weyl_base. The
 principal factor and the base classes all sit at u = 1, so together they
-contribute one power of P, taken by repeated squaring of the truncated
-partition series and kept in the cache per exponent, so slot series that
-need the same power share it. The deep classes share one count c at the
-unit weights ell, ell**2, ..., so together they contribute D(x**ell), where
-D(y) = P(y)**c * D(y**ell) is self-similar: D is built at budget // ell by
-one truncated product per level, each level ell times shorter than the
-last, with no stride loop. One product joins the two.
+contribute one power of P. The cache keeps one row per exponent, so slot
+series that need the same power share it, and grows it by appending, by
+a sparse recurrence over Euler's pentagonal series with no product. The
+deep classes share one count c at the unit weights ell, ell**2, ..., so
+together they contribute D(x**ell), where D(y) = P(y)**c * D(y**ell) is
+self-similar: D is built at budget // ell by one truncated product per
+level, each level ell times shorter than the last, with no stride loop.
+One product joins the two.
 The route is independent of the closed formulas in the blocks module: it
-uses only partition numbers and truncated products, never the divisor-sum
+uses only partition powers and truncated products, never the divisor-sum
 (sigma) recurrence of the coloured-partition rows nor the composition tail
-series. Its long products go through counting._mul_trunc, the kernel the
-closed form also uses; like slot_denominator, that shared input is pinned
-by its own test rather than by the two-path check.
+series. Its long products, the deep factor and the fold, go through
+counting._mul_trunc, the kernel the closed form also uses; like
+slot_denominator, that shared input is pinned by its own test rather than
+by the two-path check.
 """
 
 from __future__ import annotations
@@ -293,22 +295,11 @@ def _partition_power(c: int, m: int, cache: CountCache) -> list[int]:
     P(x) = sum_v p(v) x**v is the partition generating function.
 
     Read from the cache's table of partition powers, so slot keys that need
-    the same power share one series; a missing or shorter power is built
-    by repeated squaring. The copy stops at m: a slot series is read to its
-    full length, and past its budget it lacks the deep factor."""
-    return cache._power_series(c, m, lambda top: _squared_power(c, top, cache))[: m + 1]
-
-
-def _squared_power(c: int, m: int, cache: CountCache) -> list[int]:
-    base = [cache.partition_count(v) for v in range(m + 1)]
-    power = None
-    while True:
-        if c & 1:
-            power = base if power is None else _mul_trunc(power, base, m)
-        c >>= 1
-        if not c:
-            return power
-        base = _mul_trunc(base, base, m)
+    the same power share one series; a missing or shorter power grows by
+    appending, by the pentagonal recurrence of CountCache._power_row. The
+    copy stops at m: a slot series is read to its full length, and past its
+    budget it lacks the deep factor."""
+    return cache._power_row(c, m)[: m + 1]
 
 
 def _spread(series: list[int], u: int, m: int) -> list[int]:
@@ -362,11 +353,13 @@ def block_count_proof_path(
     Equivalent to enumerating enumerate_weight_vectors and adding up
     unipotent_block_count, but read at w off one series, _slot_product
     with the principal factor P(x)**weyl_base, so large budgets stay
-    cheap. It is built from partition numbers by truncated products alone;
-    no sigma row, coloured-partition row or composition tail series of
-    the closed formulas is read, which keeps this an independent check
-    against them in all but the inputs both share: slot_denominator and
-    the product kernel counting._mul_trunc, each pinned by its own test.
+    cheap. It is built from partition powers, grown by the pentagonal
+    recurrence, and the truncated products of the deep factor and the
+    fold alone; no sigma row, coloured-partition row or composition tail
+    series of the closed formulas is read, which keeps this an independent
+    check against them in all but the inputs both share: slot_denominator
+    and the product kernel counting._mul_trunc, each pinned by its own
+    test.
 
     The series depends only on (ell, a, denom), since build_inventory sets
     weyl_base to denom, and a longer truncation only appends coefficients,

@@ -455,6 +455,32 @@ def test_sweep_error_rows_are_isolated():
     assert all(r.verdict == "ERROR" for r in good.rows if r.d == 2)
 
 
+def test_sweep_value_past_the_int_str_limit_is_an_error_row(int_str_limit):
+    # a w or n past the int/str conversion limit is refused as too large to
+    # index a table, like any w or n from sys.maxsize on: the row is an
+    # ERROR row, and its message and cells write the value in full
+    int_str_limit(640)
+    digits = "1" + "0" * 700
+    cases = (
+        (
+            SweepSpec(families=(blocks.GL,), ell_values=(3,), d_values=(1,), w_values=(10**700,)),
+            f"GL row {{'family': 'GL', 'ell': 3, 'd': 1, 'a': 1, 'w': {digits}, 'q': None}}: "
+            f"w = {digits} is too large to index a table",
+        ),
+        (
+            SweepSpec(families=(blocks.SLRANGE,), ell_values=(3,), n_values=(10**700,)),
+            f"SLrange row {{'family': 'SLrange', 'ell': 3, 'd': 1, 'a': 1, 'n': {digits}, "
+            f"'g': 1, 'q': None}}: n = {digits} is too large to index a table",
+        ),
+    )
+    for spec, message in cases:
+        report = sweep(spec, CountCache())
+        assert [r.verdict for r in report.rows] == [blocks.ERROR]
+        assert report.errors == (message,)
+        for fmt in ("csv", "json", "md"):
+            assert digits in report.render(fmt)
+
+
 def test_sweep_overflow_is_an_error_row_and_inexact_division_a_mismatch(monkeypatch):
     # a weight too large to index a table is refused up front, and an
     # OverflowError raised inside a count is a parameter error too; every
@@ -588,8 +614,8 @@ def test_divisors():
 
 
 def test_block_invariants_at_a_large_prime():
-    # ell - 1 slots at unit weight: the slot path raises the partition
-    # series to that power by squaring, not by one fold per slot
+    # ell - 1 slots at unit weight: the slot path takes that partition
+    # power by the pentagonal recurrence, not by one fold per slot
     ell = 10000000019
     query = BlockQuery(blocks.GL, EllProfile(ell, 1, 1), w=2)
     inv = block_invariants(query, CountCache())
@@ -879,10 +905,10 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     # every slot series is built once, at 700, and every closed-form series
     # grows once, where an ascending sweep builds each twice
     builds = []
-    powers = []
+    powers = {}
     grown = {}
     real_slot_series = CountCache._slot_series
-    real_power_series = CountCache._power_series
+    real_power_row = CountCache._power_row
     real_euler_row = CountCache._euler_row
 
     def counted_slot_series(self, key, n, build):
@@ -892,12 +918,12 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
 
         return real_slot_series(self, key, n, counted_build)
 
-    def counted_power_series(self, c, n, build):
-        def counted_build(top):
-            powers.append((c, top))
-            return build(top)
-
-        return real_power_series(self, c, n, counted_build)
+    def counted_power_row(self, c, n):
+        before = len(self._powers.get(c, ()))
+        row = real_power_row(self, c, n)
+        if len(row) != before:
+            powers.setdefault(c, []).append(len(row))
+        return row
 
     def counted_euler_row(self, ell, s, n):
         before = len(self._series.get((ell, s), ()))
@@ -907,7 +933,7 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
         return row
 
     monkeypatch.setattr(CountCache, "_slot_series", counted_slot_series)
-    monkeypatch.setattr(CountCache, "_power_series", counted_power_series)
+    monkeypatch.setattr(CountCache, "_power_row", counted_power_row)
     monkeypatch.setattr(CountCache, "_euler_row", counted_euler_row)
     spec = SweepSpec(
         families=(blocks.GL, blocks.SP),
@@ -920,9 +946,9 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     assert all(row.two_path_checked for row in report.rows)
     # GL has slot denominator 1, Sp 2: one slot series each
     assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
-    # both slot series hold P(x)**3 to 700, built once and read twice; the
+    # both slot series hold P(x)**3 to 700, grown once and read twice; the
     # deep factors take P(x)**2 (GL) and P(x) (Sp) to 700 // 3
-    assert sorted(powers) == [(1, 233), (2, 233), (3, 700)]
+    assert powers == {3: [701], 2: [234], 1: [234]}
     # the row k(3, .) of head colours 3, shared by GL and Sp, read to 700;
     # the tail series of tail colours 2 (GL) and 1 (Sp), read to 700 // 3
     assert grown == {(PLAIN, 3): [701], (3, 2): [234], (3, 1): [234]}

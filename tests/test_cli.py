@@ -36,6 +36,18 @@ def test_version_flag(capsys):
     assert code == 0
 
 
+def test_help_keeps_the_subcommand_table(capsys):
+    # the module docstring's table of subcommands, line for line
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "  census             sweep block parameters and report k(B) vs defect order",
+        "  oracle             confront brute-force censuses with the calculus",
+    ):
+        assert line in lines
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "census", "--frobenius", "1")
     assert code == 1

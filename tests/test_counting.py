@@ -49,12 +49,76 @@ def test_is_prime_small():
     assert not is_prime(0)
 
 
-PARTITION_VALUES = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 10: 42, 50: 204226, 100: 190569292}
+PARTITION_VALUES = {
+    0: 1,
+    1: 1,
+    2: 2,
+    3: 3,
+    4: 5,
+    5: 7,
+    6: 11,
+    10: 42,
+    50: 204226,
+    100: 190569292,
+    1000: 24061467864032622473692149727991,
+}
 
 
 def test_partition_count_values():
     for n, value in PARTITION_VALUES.items():
         assert partition_count(n) == value
+        assert CountCache().partition_count(n) == value
+
+
+def _reference_partitions(m):
+    # p(0..m) by adding one part size at a time, as in counting coins
+    parts = [1] + [0] * m
+    for k in range(1, m + 1):
+        for n in range(k, m + 1):
+            parts[n] += parts[n - k]
+    return parts
+
+
+def _dot_schoolbook(a, b, m):
+    # the literal truncated product of two series that hold at least m + 1
+    # entries: coefficient n is the sum of a_i b_(n-i)
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(m + 1)]
+
+
+POWER_EXPONENTS = (1, 2, 3, 7, 169)
+POWER_LENGTHS = (0, 1, 2, 5, 24, 127, 128, 129, 300)
+
+
+def test_partition_powers_are_the_schoolbook_powers():
+    # P(x)**c as c - 1 literal products of the partition list, against the
+    # row of a fresh cache at each truncation
+    parts = _reference_partitions(max(POWER_LENGTHS))
+    power, c = parts, 1
+    for exponent in POWER_EXPONENTS:
+        while c < exponent:
+            power, c = _dot_schoolbook(power, parts, len(parts) - 1), c + 1
+        for m in POWER_LENGTHS:
+            assert CountCache()._power_row(exponent, m)[: m + 1] == power[: m + 1], (exponent, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(POWER_EXPONENTS), st.integers(0, 200)), max_size=8))
+def test_partition_powers_grown_in_any_order_are_a_fresh_build(requests):
+    # rows grow by appending, each on its own: any order of requests on one
+    # cache reads what a fresh cache builds at once
+    grown = CountCache()
+    for c, m in requests:
+        assert grown._power_row(c, m)[: m + 1] == CountCache()._power_row(c, m)[: m + 1]
+    for c, row in grown._powers.items():
+        assert row == CountCache()._power_row(c, len(row) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(1, 60), b=st.integers(1, 60), m=st.integers(0, 200))
+def test_partition_powers_multiply_by_adding_exponents(a, b, m):
+    cache = CountCache()
+    product = _dot_schoolbook(cache._power_row(a, m), cache._power_row(b, m), m)
+    assert cache._power_row(a + b, m)[: m + 1] == product
 
 
 MULTIPARTITION_VALUES = {
