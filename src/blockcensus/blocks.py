@@ -7,7 +7,6 @@ ranges into a deterministic report.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -829,6 +828,25 @@ class CensusReport(_CensusReportFields):
 
 
 def spec_hash(spec: SweepSpec) -> str:
+    """The spec a report was swept from, as written in its metadata: the
+    first 16 hex digits of SHA-256 over the compact, key-sorted JSON of
+    spec.canonical(). A listed value past the int/str conversion limit,
+    which json cannot write, makes it hash that JSON with every listed
+    value written as its decimal_text string instead.
+
+    SHA-256 comes from the interpreter's builtin module (_sha2 from Python
+    3.12 on, _sha256 before), as random.py takes its sha512: the general
+    hash module maps OpenSSL, which costs the process more peak memory
+    than a whole small census. The import sits here, so a run that hashes
+    no spec loads no hash module at all."""
+    try:
+        # by version, since a failed import searches the whole path
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without the builtin module
+        from hashlib import sha256
     canon = spec.canonical()
     try:
         text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
@@ -837,7 +855,7 @@ def spec_hash(spec: SweepSpec) -> str:
         # str: hash every listed value as its decimal_text string instead
         texts = {k: [decimal_text(v) for v in vs] if type(vs) is list else vs for k, vs in canon.items()}
         text = json.dumps(texts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _row_failure(exc: Exception) -> tuple[str, str]:

@@ -37,27 +37,32 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse '3,5,7' or '1..8' or a mix like '1,4..6'."""
+def _parse_int_list(texts: list[str]) -> tuple[int, ...]:
+    """Parse texts such as '3,5,7' or '1..8' or a mix like '1,4..6' into
+    one list. A range that would take the list past _LIST_CAP values is
+    refused before it expands."""
     out: list[int] = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise CliError(f"empty entry in list {text!r}")
-        if ".." in piece:
-            lo_text, hi_text = piece.split("..", 1)
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise CliError(f"bad range {piece!r}") from None
-            if hi < lo:
-                raise CliError(f"descending range {piece!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(piece))
-            except ValueError:
-                raise CliError(f"bad integer {piece!r}") from None
+    for text in texts:
+        for piece in text.split(","):
+            piece = piece.strip()
+            if not piece:
+                raise CliError(f"empty entry in list {text!r}")
+            if ".." in piece:
+                lo_text, hi_text = piece.split("..", 1)
+                try:
+                    lo, hi = int(lo_text), int(hi_text)
+                except ValueError:
+                    raise CliError(f"bad range {piece!r}") from None
+                if hi < lo:
+                    raise CliError(f"descending range {piece!r}")
+                if len(out) + hi - lo + 1 > _LIST_CAP:
+                    raise CliError(f"range {piece!r} makes the list longer than {_LIST_CAP} values")
+                out.extend(range(lo, hi + 1))
+            else:
+                try:
+                    out.append(int(piece))
+                except ValueError:
+                    raise CliError(f"bad integer {piece!r}") from None
     return tuple(out)
 
 
@@ -87,10 +92,7 @@ def _gather(flag_values, config: dict[str, list[str]], key: str) -> list[str]:
 
 
 def _int_values(flag_values, config, key) -> tuple[int, ...]:
-    out: list[int] = []
-    for text in _gather(flag_values, config, key):
-        out.extend(_parse_int_list(text))
-    return tuple(out)
+    return _parse_int_list(_gather(flag_values, config, key))
 
 
 # Built once per process: parse_args reads the tree and changes nothing in
@@ -150,14 +152,12 @@ def _census_spec(args, config) -> blocks.SweepSpec:
             raise CliError("d = divisors cannot be mixed with explicit d values")
         d_values = None
     elif d_texts:
-        d_values = tuple(v for t in d_texts for v in _parse_int_list(t))
+        d_values = _parse_int_list(d_texts)
     else:
         d_values = None
     a_values = _int_values(args.a, config, "a") or (1,)
     g_texts = _gather(args.g, config, "g")
-    g_values = (
-        tuple(v for t in g_texts for v in _parse_int_list(t)) if g_texts else None
-    )
+    g_values = _parse_int_list(g_texts) if g_texts else None
     return blocks.SweepSpec(
         families=tuple(families),
         ell_values=_int_values(args.ell, config, "ell"),
@@ -467,6 +467,11 @@ def _cmd_oracle(args) -> int:
 # length --wmax, so a run at both caps finishes in a few seconds
 _WMAX_CAP = 500_000
 _NMAX_CAP = 1_000
+
+# The most values the integer list of one census key may expand to, all its
+# flags or config lines together; _parse_int_list refuses a longer one
+# before expanding a range
+_LIST_CAP = 1_000_000
 
 
 def _check_p_ell_bound(wmax: int) -> tuple[bool, str]:

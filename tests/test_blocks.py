@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import json
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -674,6 +676,74 @@ def test_spec_hash_stability():
     assert len(a) == 16 and all(ch in "0123456789abcdef" for ch in a)
 
 
+# the grids of the census-wide and census-deep benchmarks
+_CENSUS_WIDE = SweepSpec(
+    families=(
+        blocks.GL, blocks.GU, blocks.SP, blocks.SOODD, blocks.SOEVEN_PLUS,
+        blocks.SOEVEN_MINUS, blocks.GOEVEN_PLUS, blocks.GOEVEN_MINUS,
+    ),
+    ell_values=(3, 5, 7, 11, 13),
+    a_values=(1, 2),
+    w_values=tuple(range(25)),
+)
+_CENSUS_DEEP = SweepSpec(
+    families=(blocks.GL, blocks.SP),
+    ell_values=(3,),
+    d_values=(1,),
+    a_values=(1,),
+    w_values=(0, 400, 500, 600, 700),
+)
+
+
+def _sha256_head(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_spec_hash_is_sha256_of_the_canonical_json():
+    # the benchmark reports' headers carry these two
+    assert spec_hash(_CENSUS_WIDE) == "e2d3773d10b88bd5"
+    assert spec_hash(_CENSUS_DEEP) == "b3f72159451f016f"
+    specs = (
+        _CENSUS_WIDE,
+        _CENSUS_DEEP,
+        _small_spec(),
+        SweepSpec(
+            families=(blocks.SLRANGE, blocks.PSLELL),
+            ell_values=(5,),
+            n_values=(1, 3),
+            g_values=(2,),
+            q_values=(11,),
+        ),
+    )
+    for spec in specs:
+        text = json.dumps(spec.canonical(), sort_keys=True, separators=(",", ":"))
+        assert spec_hash(spec) == _sha256_head(text)
+
+
+def test_spec_hash_without_a_builtin_sha256_falls_back_to_hashlib(monkeypatch):
+    # a None entry in sys.modules makes importing that name fail
+    expected = spec_hash(_CENSUS_WIDE)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert spec_hash(_CENSUS_WIDE) == expected
+
+
+def test_spec_hash_past_the_int_str_limit_hashes_decimal_strings(int_str_limit):
+    # json cannot write a value past the limit, so every listed value is
+    # hashed as its decimal string; the reference writes them by str with
+    # the limit lifted
+    spec = SweepSpec(
+        families=(blocks.GL, blocks.SLRANGE), ell_values=(3,), w_values=(5, 10**700), n_values=(10**701,)
+    )
+    int_str_limit(0)
+    canon = spec.canonical()
+    texts = {k: [str(v) for v in vs] if isinstance(vs, list) else vs for k, vs in canon.items()}
+    expected = _sha256_head(json.dumps(texts, sort_keys=True, separators=(",", ":")))
+    assert spec_hash(spec) != expected  # with the limit lifted json writes the ints
+    int_str_limit(640)
+    assert spec_hash(spec) == expected
+
+
 def test_sweep_psl_rows_fix_g_and_m():
     spec = SweepSpec(families=(blocks.PSLELL,), ell_values=(3,), a_values=(1, 2))
     report = sweep(spec)
@@ -935,14 +1005,7 @@ def test_census_deep_grid_builds_each_table_once(monkeypatch):
     monkeypatch.setattr(CountCache, "_slot_series", counted_slot_series)
     monkeypatch.setattr(CountCache, "_power_row", counted_power_row)
     monkeypatch.setattr(CountCache, "_euler_row", counted_euler_row)
-    spec = SweepSpec(
-        families=(blocks.GL, blocks.SP),
-        ell_values=(3,),
-        d_values=(1,),
-        a_values=(1,),
-        w_values=(0, 400, 500, 600, 700),
-    )
-    report = sweep(spec, CountCache())
+    report = sweep(_CENSUS_DEEP, CountCache())
     assert all(row.two_path_checked for row in report.rows)
     # GL has slot denominator 1, Sp 2: one slot series each
     assert sorted(builds) == [((3, 1, 1), 700), ((3, 1, 2), 700)]
@@ -972,18 +1035,6 @@ def _count_block_evaluations(monkeypatch):
     )
     monkeypatch.setattr(blocks, "verdict", counted("verdict", blocks.verdict))
     return calls
-
-
-# the grid of the census-wide benchmark
-_CENSUS_WIDE = SweepSpec(
-    families=(
-        blocks.GL, blocks.GU, blocks.SP, blocks.SOODD, blocks.SOEVEN_PLUS,
-        blocks.SOEVEN_MINUS, blocks.GOEVEN_PLUS, blocks.GOEVEN_MINUS,
-    ),
-    ell_values=(3, 5, 7, 11, 13),
-    a_values=(1, 2),
-    w_values=tuple(range(25)),
-)
 
 
 def test_census_wide_grid_evaluates_each_distinct_block_once(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -74,6 +75,32 @@ def test_census_rejects_bad_lists(capsys):
     )
     assert code == 1
     assert "descending range" in err
+
+
+# longer than sys.maxsize on every platform, so that even a parser that
+# expanded it unchecked would fail at once in list.extend, not allocate
+_HUGE_RANGE = "0..1" + "0" * 30
+
+
+def test_census_refuses_a_list_past_the_cap_before_expanding_it(tmp_path, capsys):
+    cap = cli._LIST_CAP
+    message = f"error: range {_HUGE_RANGE!r} makes the list longer than {cap} values\n"
+    code, out, err = run_cli(capsys, "census", "--family", "GL", "--ell", "3", "--w", _HUGE_RANGE)
+    assert (code, out, err) == (1, "", message)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family = GL\nell = 3\nw = {_HUGE_RANGE}\n")
+    code, out, err = run_cli(capsys, "census", "--config", str(cfg))
+    assert (code, out, err) == (1, "", message)
+
+
+def test_int_list_cap_counts_every_entry_of_the_list(monkeypatch):
+    # entries of one key count together, over all its flags or config lines
+    monkeypatch.setattr(cli, "_LIST_CAP", 5)
+    assert cli._parse_int_list(["0..4"]) == (0, 1, 2, 3, 4)
+    assert cli._parse_int_list(["7", "0..3"]) == (7, 0, 1, 2, 3)
+    for texts in (["0..5"], ["7,0..4"], ["0..2,3..5"], ["0..2", "3..5"]):
+        with pytest.raises(cli.CliError, match="makes the list longer than 5 values"):
+            cli._parse_int_list(texts)
 
 
 def test_census_csv_happy_path(capsys):
@@ -887,6 +914,37 @@ def test_import_and_census_never_load_dataclasses_or_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[[False, False], [False, False], [False, False]]"
+
+
+def test_no_subcommand_loads_the_openssl_hash_module():
+    # spec_hash takes SHA-256 from the interpreter's builtin module, imported
+    # when a census hashes its spec, so neither hashlib nor the OpenSSL-backed
+    # _hashlib is loaded by the import, a census in any format, or the other
+    # subcommands
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python is built without a builtin SHA-256 module")
+    script = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in ('hashlib', '_hashlib')]\n"
+        "from blockcensus import cli\n"
+        "states = [loaded()]\n"
+        "runs = [['census', '--family', 'GL,Sp', '--ell', '3', '--w', '0..4', '--format', fmt]\n"
+        "        for fmt in ('csv', 'json', 'md')]\n"
+        "runs += [['oracle', '--gl', '2,2,3'], ['verify-exceptional'],\n"
+        "         ['bounds', '--wmax', '60', '--nmax', '4']]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(argv)\n"
+        "    assert code == 0 and out.getvalue(), argv\n"
+        "    states.append(loaded())\n"
+        "print(states)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str([[False, False]] * 7)
 
 
 # Subcommands in turn, two censuses with different list flags among them
