@@ -156,9 +156,10 @@ class _EllProfileFields(NamedTuple):
 
 
 class EllProfile(_EllProfileFields):
-    """The (d, a) shape of a prime ell relative to a field size q: d is the
-    order parameter and a the valuation of q**d - 1 at ell. Profiles may be
-    synthetic (q omitted) so sweeps need not hunt for witness field sizes."""
+    """The (d, a) shape of an odd prime ell relative to a field size q: d is
+    the order parameter and a the valuation of q**d - 1 at ell. Profiles may
+    be synthetic (q omitted) so sweeps need not hunt for witness field
+    sizes. ell = 2 is refused: the block formulas hold for odd primes only."""
 
     __slots__ = ()
 
@@ -166,29 +167,28 @@ class EllProfile(_EllProfileFields):
         self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
+        if self.ell == 2:
+            raise ValueError("ell = 2 unsupported: the block formulas here require odd ell")
         if self.a < 1:
             raise ValueError("a must be >= 1")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.ell == 2:
-            if self.d not in (1, 2):
-                raise ValueError("for ell = 2 the order parameter is taken mod 4")
-        elif (self.ell - 1) % self.d:
-            raise ValueError(
-                f"d={self.d} must divide ell-1={self.ell - 1} for odd ell"
-            )
+        if (self.ell - 1) % self.d:
+            raise ValueError(f"d={self.d} must divide ell-1={self.ell - 1} for odd ell")
         return self
 
-    @property
-    def dprime(self) -> int:
-        return slots.dprime_of(self.d)
 
-
-def _profile(x: int, ell: int, q: int, d: int | None = None) -> EllProfile:
-    """Profile of ell relative to x = q or -q: d is the order of x mod ell
-    (unless given) and a the valuation of x**d - 1, by modular powers alone."""
-    if d is None:
-        d = next(t for t in _divisors(ell - 1) if pow(x, t, ell) == 1)
+def _profile(x: int, ell: int, q: int) -> EllProfile:
+    """Profile of a prime ell not dividing a field size q >= 2 relative to
+    x = q or -q: d is the order of x mod ell and a the valuation of
+    x**d - 1, by modular powers alone."""
+    if not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if q % ell == 0:
+        raise ValueError(f"ell={ell} divides q={q}; profile undefined")
+    d = next(t for t in _divisors(ell - 1) if pow(x, t, ell) == 1)
     a = 1
     while pow(x, d, ell ** (a + 1)) == 1:
         a += 1
@@ -196,29 +196,14 @@ def _profile(x: int, ell: int, q: int, d: int | None = None) -> EllProfile:
 
 
 def ell_profile(q: int, ell: int) -> EllProfile:
-    """Profile of ell relative to q: multiplicative order of q mod ell for
-    odd ell (mod 4 for ell = 2, where the block formulas then refuse to
-    run), and the exact valuation a of q**d - 1."""
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if q % ell == 0:
-        raise ValueError(f"ell={ell} divides q={q}; profile undefined")
-    if ell == 2:
-        return _profile(q, ell, q, 1 if q % 4 == 1 else 2)
+    """Profile of an odd prime ell relative to a field size q: the order d
+    of q mod ell and the exact valuation a of q**d - 1."""
     return _profile(q, ell, q)
 
 
 def ennola_profile(q: int, ell: int) -> EllProfile:
     """Profile with q replaced by -q, the standard transfer to the unitary
-    groups. Odd ell only."""
-    if not is_prime(ell) or ell == 2:
-        raise ValueError("ennola profiles are defined for odd primes only")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if q % ell == 0:
-        raise ValueError(f"ell={ell} divides q={q}; profile undefined")
+    groups, under the same rules as ell_profile."""
     return _profile(-q, ell, q)
 
 
@@ -232,10 +217,10 @@ class _BlockQueryFields(NamedTuple):
 
 
 class BlockQuery(_BlockQueryFields):
-    """Addresses one block: a family tag, an ell-adic profile, and either a
-    weight w (weight-addressed families) or a rank n with the index data
-    (g, m) for the principal blocks of the special linear range. The index
-    valuation g is at most the profile's a."""
+    """Addresses one block: a family tag, an ell-adic profile, and exactly
+    one address, a weight w (weight-addressed families) or a rank n with
+    the index data (g, m), which principal_query builds, for SLrange,
+    SUrange and PSLell. The index valuation g is at most the profile's a."""
 
     __slots__ = ()
 
@@ -251,22 +236,9 @@ class BlockQuery(_BlockQueryFields):
             if self.n < 1:
                 raise ValueError("n must be >= 1")
             _require_indexable("n", self.n)
-        if self.w is not None and self.n is not None:
-            # GL and GU spend d*w of the rank on a weight-w block, as
-            # oracle.census_matches_weight_vectors splits n; the other
-            # families spend d'*w
-            if self.family in (GL, GU):
-                step, size = "d", self.profile.d
-            else:
-                step, size = "d'", self.profile.dprime
-            if self.w * size > self.n:
-                raise ValueError(
-                    f"weight {self.w} does not fit into rank {self.n} "
-                    f"(w * {step} = {self.w * size})"
-                )
-        if self.family in (SOEVEN_PLUS, SOEVEN_MINUS, GOEVEN_PLUS, GOEVEN_MINUS):
-            if self.n is not None and self.n < 4:
-                raise ValueError("even orthogonal families need n >= 4")
+        address = "w" if self.family in WEIGHT_FAMILIES else "n"
+        if (self.w is not None, self.n is not None) != (address == "w", address == "n"):
+            raise ValueError(f"{self.family} blocks are addressed by {address} alone")
         # ell**g is the part of the index that the closing division of
         # k_principal_slrange removes, and a bounds its valuation
         if self.g > self.profile.a:
@@ -287,13 +259,6 @@ def _require_indexable(name: str, value: int) -> None:
         raise ValueError(f"{name} = {decimal_text(value)} is too large to index a table")
 
 
-def _require_odd(profile: EllProfile) -> None:
-    if profile.ell == 2:
-        raise ValueError(
-            "ell = 2 unsupported: the block formulas here require odd ell"
-        )
-
-
 def exactness_for(family: str) -> str:
     return UPPER_BOUND if family in UPPER_BOUND_FAMILIES else EXACT
 
@@ -309,11 +274,7 @@ def k_principal_slrange(query: BlockQuery, cache: CountCache | None = None) -> i
     """
     if query.family not in (SLRANGE, SURANGE):
         raise ValueError(f"family {query.family!r} is not in the special linear range")
-    if query.n is None:
-        raise ValueError("principal-block query needs n")
-    profile = query.profile
-    _require_odd(profile)
-    ell, a = profile.ell, profile.a
+    ell, a = query.profile.ell, query.profile.a
     n, g, m = query.n, query.g, query.m
     u = min(m, g)
     total = k_ell_a_w(ell, a, n, cache)
@@ -447,16 +408,15 @@ def _check_profile_consistency(family: str, profile: EllProfile) -> None:
 
 def _weight_group(family: str, profile: EllProfile) -> tuple[int, int, int]:
     """The per-group step of block_invariants for a weight family: the
-    checks that do not depend on w, then the slot denominator and the head
-    and tail colour counts (denom, head, tail). A sweep runs it once per q
-    of a run, and keeps a failure for every row that reaches it
-    (_weight_run).
+    profile check, which does not depend on w, then the slot denominator
+    and the head and tail colour counts (denom, head, tail). A sweep runs
+    it once per q of a run, and keeps a failure for every row that reaches
+    it (_weight_run).
 
     Head colour count is denom + (ell**a - 1)/denom and tail colour count
     (ell**a - ell**(a-1))/denom, denom = slots.slot_denominator. The slot
     path shares denom, so the two-path check cannot test it (test_slots pins
     it)."""
-    _require_odd(profile)
     _check_profile_consistency(family, profile)
     denom = slots.slot_denominator(WEIGHT_FAMILIES[family], profile.d)
     return (denom, *colour_counts(profile.ell, profile.a, denom))
@@ -501,7 +461,9 @@ def block_invariants(
     cache: CountCache | None = None,
     check_two_path: bool = True,
 ) -> BlockInvariants:
-    """Full invariant bundle for one block query.
+    """Full invariant bundle for one block query, whose family, address and
+    odd prime BlockQuery has checked; a profile that does not match its q
+    is refused here.
 
     For weight-addressed families the closed-form count is recomputed along
     the slot-calculus path and the two values must agree exactly; a
@@ -512,25 +474,20 @@ def block_invariants(
     profile = query.profile
     if family in WEIGHT_FAMILIES:
         group = _weight_group(family, profile)
-        if query.w is None:
-            raise ValueError("weight-addressed query needs w")
         return BlockInvariants(
             *_weight_values(family, profile, group, query.w, cache, check_two_path)
         )
-    _require_odd(profile)
     _check_profile_consistency(family, profile)
-    if family in (SLRANGE, SURANGE):
-        k = k_principal_slrange(query, cache)
-        exp = defect_exponent(family, profile.ell, profile.a, n=query.n, g=query.g)
-        abelian = is_abelian_defect(query.n, profile.ell)
-    elif family == PSLELL:
+    if family == PSLELL:
         k = k_principal_pslell(profile.ell, profile.a, cache)
         exp = defect_exponent(family, profile.ell, profile.a)
         # Simple quotient at n = ell: the quotient of the wreath-point defect
         # group by the centre is abelian only in the very smallest case.
         abelian = (profile.ell, profile.a) == (3, 1)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        k = k_principal_slrange(query, cache)
+        exp = defect_exponent(family, profile.ell, profile.a, n=query.n, g=query.g)
+        abelian = is_abelian_defect(query.n, profile.ell)
     exactness = exactness_for(family)
     return BlockInvariants(
         k_B=k,

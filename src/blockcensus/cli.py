@@ -214,7 +214,7 @@ def _class_table_checks(name: str, data_dir) -> list[tuple[str, bool, str]]:
     except Exception as exc:
         return [(f"{name} load", False, str(exc))]
     identity = table.identity_row()
-    expected_identity = tables.unipotent_count(table.group_label, data_dir=None)
+    expected_identity = tables.unipotent_count(table.group_label)
     results.append(
         (
             f"{name} identity row",
@@ -390,20 +390,13 @@ def _cmd_oracle(args) -> int:
     for option, tuples, check in (
         ("gl", gl, oracle.check_gl_census),
         ("gmpn", gmpn, oracle.check_gmpn),
+        ("multi", multi, oracle.check_multi),
     ):
         for text, values in tuples:
             try:
                 check(*values)
             except ValueError as exc:
                 raise CliError(f"--{option} {text}: {exc}") from None
-    for text, (s_max, t_max) in multi:
-        if s_max < 1 or t_max < 0:
-            raise CliError(f"--multi {text}: need S >= 1 and T >= 0")
-        if s_max > oracle.ENUM_MAX_COLOURS or t_max > oracle.ENUM_MAX_SIZE:
-            raise CliError(
-                f"--multi {text}: enumeration cap exceeded: need "
-                f"S <= {oracle.ENUM_MAX_COLOURS} and T <= {oracle.ENUM_MAX_SIZE}"
-            )
     all_ok = True
     for _, (n, q, ell) in gl:
         start = time.perf_counter()

@@ -27,6 +27,7 @@ from .counting import is_prime
 
 __all__ = [
     "partitions_of",
+    "check_multi",
     "multipartition_enumerate",
     "SmallField",
     "mat_identity",
@@ -80,6 +81,18 @@ def _partition_list(t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(partitions_of(t))
 
 
+def check_multi(s: int, t: int) -> None:
+    """Refuse, with a ValueError, an (S, T) = (s, t) that
+    multipartition_enumerate cannot count: S < 1 colours, a total size
+    T < 0, or either past its enumeration cap."""
+    if s < 1 or t < 0:
+        raise ValueError("need S >= 1 and T >= 0")
+    if s > ENUM_MAX_COLOURS or t > ENUM_MAX_SIZE:
+        raise ValueError(
+            f"enumeration cap exceeded: need S <= {ENUM_MAX_COLOURS} and T <= {ENUM_MAX_SIZE}"
+        )
+
+
 def multipartition_enumerate(s: int, t: int) -> int:
     """Count s-tuples of partitions of total size t from explicitly
     enumerated partition lists, never touching the divisor-sum recurrence.
@@ -88,14 +101,8 @@ def multipartition_enumerate(s: int, t: int) -> int:
     partition of t with at most s parts, padded with zeros to length s.
     So the sum runs over those partitions, each weighted by its
     s! / prod(mult!) arrangements times the product of the list lengths.
-    Capped to keep runtimes sane."""
-    if s < 1 or t < 0:
-        raise ValueError("need s >= 1 and t >= 0")
-    if s > ENUM_MAX_COLOURS or t > ENUM_MAX_SIZE:
-        raise ValueError(
-            f"enumeration cap exceeded: s <= {ENUM_MAX_COLOURS} and "
-            f"t <= {ENUM_MAX_SIZE}, got s={s}, t={t}"
-        )
+    Capped to keep runtimes sane (check_multi)."""
+    check_multi(s, t)
     counts = [len(_partition_list(sz)) for sz in range(t + 1)]
     s_factorial = math.factorial(s)
     total = 0

@@ -5,8 +5,9 @@ exceptional type, and root-system margins for the defining-characteristic
 argument.
 
 Tables live as tab-separated files under blockcensus/data. Every loader
-takes an optional data_dir override pointing at a directory with files of
-the same names, used by tests to inject corrupted copies.
+but that of the unipotent counts, which are the ground truth, takes an
+optional data_dir override pointing at a directory with files of the same
+names, used by tests to inject corrupted copies.
 """
 
 from __future__ import annotations
@@ -81,30 +82,26 @@ def _read_table(filename: str, data_dir: str | Path | None = None) -> list[dict[
     return rows
 
 
-def unipotent_count_entries(data_dir=None) -> tuple[tuple[str, int], ...]:
+def unipotent_count_entries() -> tuple[tuple[str, int], ...]:
     """The stored (label, count) pairs, one per table entry; labels that
     share a count are kept on one comma-joined line in the data file."""
     return tuple(
         (row["label"], int(row["count"]))
-        for row in _read_table("unipotent_counts.tsv", data_dir)
+        for row in _read_table("unipotent_counts.tsv")
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _packaged_unipotent_count_entries() -> tuple[tuple[str, int], ...]:
-    # the packaged file cannot change while the program runs, so it is read
-    # once; a data_dir file is read afresh on every call
+    # the packaged file cannot change while the program runs, so it is read once
     return unipotent_count_entries()
 
 
-def unipotent_count(label: str, data_dir=None) -> int:
-    """Unipotent character count for one simple-type label; accepts either
-    a single label like "E6" or "2D4" or a stored comma pair."""
-    if data_dir is None:
-        entries = _packaged_unipotent_count_entries()
-    else:
-        entries = unipotent_count_entries(data_dir)
-    for stored, count in entries:
+def unipotent_count(label: str) -> int:
+    """Unipotent character count for one simple-type label, from the
+    packaged table; accepts either a single label like "E6" or "2D4" or a
+    stored comma pair."""
+    for stored, count in _packaged_unipotent_count_entries():
         if label == stored or label in stored.split(","):
             return count
     raise KeyError(f"no unipotent count stored for label {label!r}")

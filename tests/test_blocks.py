@@ -58,8 +58,6 @@ PROFILE_VALUES = {
     (7, 5): (4, 2),
     (2, 3): (2, 1),
     (4, 5): (2, 1),
-    (5, 2): (1, 2),
-    (3, 2): (2, 3),
 }
 
 
@@ -88,25 +86,22 @@ def test_ennola_profile():
         ennola_profile(6, 2)
 
 
-def _reference_profile(x, ell, d=None):
+def _reference_profile(x, ell):
     # the order loop and the plain valuation of x**d - 1
-    if d is None:
-        d, acc = 1, x % ell
-        while acc != 1:
-            acc = acc * x % ell
-            d += 1
+    d, acc = 1, x % ell
+    while acc != 1:
+        acc = acc * x % ell
+        d += 1
     return d, valuation(ell, x**d - 1)
 
 
 def test_profiles_match_reference():
-    for ell in (p for p in range(2, 62) if is_prime(p)):
+    for ell in (p for p in range(3, 62) if is_prime(p)):
         for q in (q for q in range(2, 65) if q % ell):
             prof = ell_profile(q, ell)
-            d = (1 if q % 4 == 1 else 2) if ell == 2 else None
-            assert (prof.d, prof.a) == _reference_profile(q, ell, d), (q, ell)
-            if ell > 2:
-                prof = ennola_profile(q, ell)
-                assert (prof.d, prof.a) == _reference_profile(-q, ell), (q, ell)
+            assert (prof.d, prof.a) == _reference_profile(q, ell), (q, ell)
+            prof = ennola_profile(q, ell)
+            assert (prof.d, prof.a) == _reference_profile(-q, ell), (q, ell)
 
 
 def test_profiles_at_a_large_prime():
@@ -140,25 +135,35 @@ def test_profile_validation():
         EllProfile(5, 3, 1)
     with pytest.raises(ValueError):
         EllProfile(3, 1, 0)
-    with pytest.raises(ValueError):
-        EllProfile(2, 3, 1)
-    assert EllProfile(5, 4, 1).dprime == 2
-    assert EllProfile(5, 2, 1).dprime == 1
-    assert EllProfile(3, 1, 1).dprime == 1
+    # the block formulas hold for odd primes, and EllProfile is the one
+    # place that says so
+    odd_only = "ell = 2 unsupported: the block formulas here require odd ell"
+    with pytest.raises(ValueError, match=odd_only):
+        EllProfile(2, 1, 1)
+    for derive in (ell_profile, ennola_profile):
+        with pytest.raises(ValueError, match=odd_only):
+            derive(5, 2)
 
 
 def test_block_query_validation():
     prof = EllProfile(3, 1, 1)
     with pytest.raises(ValueError, match="unknown family"):
         BlockQuery("GLL", prof, w=1)
-    with pytest.raises(ValueError, match="does not fit"):
-        BlockQuery(blocks.GL, EllProfile(5, 2, 1), w=4, n=3)
-    # GL and GU spend d * w of the rank, the other families d' * w
-    with pytest.raises(ValueError, match=r"does not fit into rank 4 \(w \* d = 6\)"):
-        BlockQuery(blocks.GL, EllProfile(5, 2, 1), w=3, n=4)
-    BlockQuery(blocks.SP, EllProfile(5, 2, 1), w=4, n=4)
-    with pytest.raises(ValueError, match="n >= 4"):
-        BlockQuery(blocks.SOEVEN_PLUS, prof, w=0, n=2)
+
+
+_ADDRESSES = {"w": {"w": 1}, "n": {"n": 3}, "w+n": {"w": 1, "n": 3}, "none": {}}
+
+
+@pytest.mark.parametrize("shape", _ADDRESSES)
+@pytest.mark.parametrize("family", blocks.FAMILIES)
+def test_block_query_takes_exactly_one_address(family, shape):
+    # w for a weight family, n for SLrange, SUrange and PSLell
+    address = "w" if family in blocks.WEIGHT_FAMILIES else "n"
+    if shape == address:
+        BlockQuery(family, EllProfile(3, 1, 1), **_ADDRESSES[shape])
+    else:
+        with pytest.raises(ValueError, match=f"{family} blocks are addressed by {address} alone"):
+            BlockQuery(family, EllProfile(3, 1, 1), **_ADDRESSES[shape])
 
 
 def test_block_query_refuses_g_above_a():
@@ -234,13 +239,6 @@ def test_k_unipotent_block_matches_split_closed_form():
                 query = BlockQuery(blocks.GL, EllProfile(ell, 1, a), w=w)
                 k_b = block_invariants(query, check_two_path=False).k_B
                 assert k_b == k_ell_a_w(ell, a, w)
-
-
-def test_k_unipotent_block_rejects():
-    with pytest.raises(ValueError, match="odd"):
-        block_invariants(BlockQuery(blocks.GL, EllProfile(2, 1, 1), w=1), check_two_path=False)
-    with pytest.raises(ValueError, match="needs w"):
-        block_invariants(BlockQuery(blocks.GL, EllProfile(3, 1, 1)), check_two_path=False)
 
 
 SL_VALUES = {

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -85,10 +86,14 @@ def test_multipartition_enumerate_matches_composition_sum():
 
 
 def test_multipartition_enumerate_cap():
-    with pytest.raises(ValueError, match="enumeration cap exceeded"):
-        oracle.multipartition_enumerate(9, 1)
-    with pytest.raises(ValueError, match="enumeration cap exceeded"):
-        oracle.multipartition_enumerate(2, 13)
+    # check_multi holds the grid rules, which the CLI's --multi check shares
+    empty = "need S >= 1 and T >= 0"
+    cap = "enumeration cap exceeded: need S <= 8 and T <= 12"
+    for s, t, message in ((0, 5, empty), (3, -1, empty), (9, 1, cap), (2, 13, cap)):
+        for call in (oracle.check_multi, oracle.multipartition_enumerate):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(s, t)
+    assert oracle.check_multi(8, 12) is None
 
 
 def test_small_field_axioms_all_sizes():

@@ -50,7 +50,7 @@ RECORDS = {
     BlockQuery: (
         ("family", "profile", "w", "n", "g", "m"),
         {"w": None, "n": None, "g": 0, "m": 0},
-        {"family": blocks.GL, "profile": _PROFILE},
+        {"family": blocks.GL, "profile": _PROFILE, "w": 0},
         {"w": 2},
     ),
     BlockInvariants: (
@@ -258,15 +258,15 @@ _INVALID = [
     (EllProfile, (4, 1, 1), {}, "ell must be prime, got 4"),
     (EllProfile, (3, 1, 0), {}, "a must be >= 1"),
     (EllProfile, (), {"ell": 3, "d": 0, "a": 1}, "d must be >= 1"),
-    (EllProfile, (2, 3, 1), {}, "for ell = 2 the order parameter is taken mod 4"),
+    (EllProfile, (2, 1, 1), {}, "ell = 2 unsupported: the block formulas here require odd ell"),
     (EllProfile, (5, 3, 1), {}, "d=3 must divide ell-1=4 for odd ell"),
     (BlockQuery, ("XX", _PROFILE), {}, "unknown family 'XX'"),
     (BlockQuery, (blocks.GL, _PROFILE), {"g": -1}, "g and m must be >= 0"),
     (BlockQuery, (blocks.GL, _PROFILE, -1), {}, "w must be >= 0"),
     (BlockQuery, (blocks.GL, _PROFILE), {"n": 0}, "n must be >= 1"),
-    (BlockQuery, (blocks.GL, EllProfile(3, 2, 1), 2, 3), {}, "weight 2 does not fit into rank 3"),
-    (BlockQuery, (blocks.SOEVEN_PLUS, _PROFILE), {"n": 3}, "even orthogonal families need n >= 4"),
-    (BlockQuery, (blocks.GL, _PROFILE), {"g": 2}, "g must be <= a"),
+    (BlockQuery, (blocks.GL, EllProfile(3, 2, 1), 2, 3), {}, "GL blocks are addressed by w alone"),
+    (BlockQuery, (blocks.SLRANGE, _PROFILE), {"w": 3}, "SLrange blocks are addressed by n alone"),
+    (BlockQuery, (blocks.GL, _PROFILE, 0), {"g": 2}, "g must be <= a"),
     (
         CensusReport,
         (((_REPORT_ROW[:5], _REPORT_CELLS[:4], ()),), {}),

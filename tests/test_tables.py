@@ -73,16 +73,6 @@ def test_verify_exceptional_parses_the_packaged_counts_once(monkeypatch, tmp_pat
     capsys.readouterr()
 
 
-def test_unipotent_count_rereads_a_data_dir_file(tmp_path):
-    dest = _copied_data(tmp_path)
-    path = dest / "unipotent_counts.tsv"
-    assert tables.unipotent_count("E8", data_dir=dest) == 166
-    path.write_text(path.read_text().replace("E8\t166", "E8\t167"))
-    assert tables.unipotent_count("E8", data_dir=dest) == 167
-    assert dict(tables.unipotent_count_entries(dest))["E8"] == 167
-    assert tables.unipotent_count("E8") == 166
-
-
 def test_list_class_tables():
     assert tables.list_class_tables() == ("F4-l2", "F4-l3", "E6-l3")
     with pytest.raises(KeyError):
